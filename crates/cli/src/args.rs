@@ -116,8 +116,6 @@ OPTIONS:
                              results, for ablation)
     --no-identity-skip       disable identity short-circuits and the
                              specialized gate-apply kernels (for ablation)
-    --no-simd                force the scalar leaf-arithmetic kernels
-                             (bitwise-identical results, for ablation)
     --gc-threshold N         live-node count that triggers garbage
                              collection [default: 250000]
     --threads N              worker threads for the DD kernels and shot
@@ -236,7 +234,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseArgsError> {
             }
             "--no-cache" => dd_config.cache_enabled = false,
             "--no-identity-skip" => dd_config.identity_skip = false,
-            "--no-simd" => dd_config.simd = false,
             "--gc-threshold" => {
                 dd_config.gc_threshold = parse_value(argv.get(i + 1), "--gc-threshold")?;
                 i += 1;
@@ -427,7 +424,6 @@ mod tests {
         assert_eq!(a.dd_config.unique_table_bits, d.unique_table_bits);
         assert!(a.dd_config.cache_enabled);
         assert!(a.dd_config.identity_skip);
-        assert!(a.dd_config.simd, "SIMD kernels on by default");
         assert_eq!(a.dd_config.gc_threshold, d.gc_threshold);
     }
 
@@ -441,7 +437,6 @@ mod tests {
             "10",
             "--no-cache",
             "--no-identity-skip",
-            "--no-simd",
             "--gc-threshold",
             "5000",
         ]))
@@ -450,7 +445,6 @@ mod tests {
         assert_eq!(a.dd_config.unique_table_bits, 10);
         assert!(!a.dd_config.cache_enabled);
         assert!(!a.dd_config.identity_skip);
-        assert!(!a.dd_config.simd);
         assert_eq!(a.dd_config.gc_threshold, 5000);
     }
 

@@ -9,9 +9,6 @@
 //!   [`ComplexId`]s instead of raw floating-point pairs.
 //! * [`hash`] — the shared FxHash implementation used by every hot-path
 //!   table in the workspace (hoisted here, the bottom crate, in PR 7).
-//! * [`simd`] — runtime-dispatched SSE2/AVX kernels for the leaf arithmetic
-//!   and the interning probe, gated behind the `simd` cargo feature
-//!   (default on) with a bitwise-identical scalar fallback.
 //!
 //! # Examples
 //!
@@ -25,10 +22,8 @@
 //! ```
 
 pub mod hash;
-pub mod simd;
 mod table;
 mod value;
 
-pub use simd::SimdLevel;
 pub use table::{ComplexId, ComplexTable, ComplexTableStats};
 pub use value::{Complex, DEFAULT_TOLERANCE};

@@ -20,28 +20,31 @@
 //! Tight-absolute is the working middle ground, matching mature QMDD
 //! packages.
 //!
-//! # Hot-path layout (PR 7, DESIGN.md §13)
+//! # Layout (DESIGN.md §13)
 //!
 //! `lookup` sits under every interned multiply/add/divide, so its storage
-//! is arranged for the probe, not for elegance:
+//! is arranged for the probe:
 //!
-//! * The bucket map is an [`FxHashMap`] (3 ALU ops per key word) instead of
-//!   the standard SipHash map.
-//! * Each bucket stores its candidates' `(re, im)` pairs **packed
-//!   contiguously** next to the ids, so the tolerance scan is a linear read
-//!   (and SIMD-comparable, 2 candidates per AVX instruction) instead of a
-//!   random `values[id]` gather per candidate.
-//! * Each stored value carries its `norm_sqr` in the same struct, so
-//!   normalization pivot selection touches the cache line the value itself
-//!   occupies.
+//! * Representatives live in one `entries` vector indexed by id, each value
+//!   next to its `norm_sqr`, so normalization pivot selection touches the
+//!   cache line the value itself occupies.
+//! * A [`FxHashMap`] maps each occupied tolerance-grid cell to its
+//!   candidates. The cell's first `(value, id)` candidate sits inline in the
+//!   map slot; only later candidates spill into one `Vec` per cell. The
+//!   common single-weight cell therefore owns no heap allocation, and a
+//!   crowded cell is still scanned as one contiguous run of values with
+//!   their ids alongside, never gathered through `entries`.
 //! * The neighbour probe visits only grid cells that can actually contain a
 //!   match: the cell width is `2·tolerance`, so a candidate within
 //!   tolerance of `c` lies in `c`'s own cell or the *one* neighbour on the
-//!   side `c` is nearer to — 4 buckets typically, not 9 (a conservative FP
+//!   side `c` is nearer to — 4 cells typically, not 9 (a conservative FP
 //!   slack falls back to 3 cells per axis near half-cell positions).
+//!
+//! Cells are visited in a fixed order and scanned in insertion order, and
+//! the first candidate within tolerance wins, so the representative a
+//! value resolves to depends only on the lookup history.
 
 use crate::hash::FxHashMap;
-use crate::simd::{self, SimdLevel};
 use crate::value::{Complex, DEFAULT_TOLERANCE};
 
 /// Handle to an interned complex value inside a [`ComplexTable`].
@@ -100,20 +103,28 @@ struct Stored {
     norm: f64,
 }
 
-/// One tolerance-grid bucket: candidate values packed contiguously for the
-/// linear/SIMD probe, with the matching raw ids alongside.
-#[derive(Clone, Debug, Default)]
+/// One interned value as a grid cell holds it: the value, for the
+/// tolerance compare, and the id it resolves to.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    val: Complex,
+    id: u32,
+}
+
+/// One tolerance-grid cell: its first candidate inline, later ones
+/// in insertion order in `rest`, which stays unallocated until a second
+/// value lands in the cell.
+#[derive(Clone, Debug)]
 struct Bucket {
-    vals: Vec<Complex>,
-    ids: Vec<u32>,
+    first: Candidate,
+    rest: Vec<Candidate>,
 }
 
 /// Counters of the interning table, reported through `DdStats::cache`
 /// alongside the compute/unique-table counters (`--stats`, bench JSON).
 ///
-/// All counters are defined *semantically* — from probe outcomes, not from
-/// how many lanes an instruction compared — so scalar and SIMD builds
-/// produce identical statistics (property-tested).
+/// All counters are defined from probe outcomes, so they depend only on
+/// the lookup history.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComplexTableStats {
     /// `lookup` calls (interning requests), including the pinned zero/one
@@ -192,9 +203,6 @@ pub struct ComplexTable {
     entries: Vec<Stored>,
     buckets: FxHashMap<BucketKey, Bucket>,
     tolerance: f64,
-    /// SIMD tier for the probe and the batched products, resolved once at
-    /// construction (never per lookup — see `simd::SimdLevel::detect`).
-    simd: SimdLevel,
     stats: ComplexTableStats,
 }
 
@@ -204,20 +212,12 @@ impl ComplexTable {
         Self::with_tolerance(DEFAULT_TOLERANCE)
     }
 
-    /// Creates a table with a caller-chosen absolute tolerance and the
-    /// strongest available SIMD tier.
+    /// Creates a table with a caller-chosen absolute tolerance.
     ///
     /// # Panics
     ///
     /// Panics if `tolerance` is not a finite positive number below 0.1.
     pub fn with_tolerance(tolerance: f64) -> Self {
-        Self::with_tolerance_and_simd(tolerance, true)
-    }
-
-    /// [`with_tolerance`](Self::with_tolerance) with an explicit SIMD
-    /// switch (`false` forces the canonical scalar kernels; results are
-    /// bitwise identical either way).
-    pub fn with_tolerance_and_simd(tolerance: f64, simd_enabled: bool) -> Self {
         assert!(
             tolerance.is_finite() && tolerance > 0.0 && tolerance < 0.1,
             "tolerance must be finite, positive, and small"
@@ -226,7 +226,6 @@ impl ComplexTable {
             entries: Vec::with_capacity(1024),
             buckets: FxHashMap::default(),
             tolerance,
-            simd: SimdLevel::detect_or_scalar(simd_enabled),
             stats: ComplexTableStats::default(),
         };
         table.buckets.reserve(1024);
@@ -240,20 +239,6 @@ impl ComplexTable {
     #[inline]
     pub fn tolerance(&self) -> f64 {
         self.tolerance
-    }
-
-    /// The SIMD tier the probe and batched products dispatch to.
-    #[inline]
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
-    }
-
-    /// Re-resolves the SIMD tier (scalar when `enabled` is false). Used by
-    /// snapshot restore, which rebuilds the table via
-    /// [`from_values`](Self::from_values) and then applies the manager's
-    /// configuration. Storage layout and lookup results are unaffected.
-    pub fn set_simd_enabled(&mut self, enabled: bool) {
-        self.simd = SimdLevel::detect_or_scalar(enabled);
     }
 
     /// Interning counters (see [`ComplexTableStats`]).
@@ -291,7 +276,7 @@ impl ComplexTable {
     pub fn max_bucket_len(&self) -> usize {
         self.buckets
             .values()
-            .map(|b| b.ids.len())
+            .map(|b| 1 + b.rest.len())
             .max()
             .unwrap_or(0)
     }
@@ -353,13 +338,12 @@ impl ComplexTable {
                 let key = (qre.saturating_add(dre), qim.saturating_add(dim));
                 buckets_probed += 1;
                 if let Some(bucket) = self.buckets.get(&key) {
-                    match simd::probe_first_match(self.simd, &bucket.vals, c, self.tolerance) {
-                        Some(i) => {
-                            probe_entries += i as u64 + 1;
-                            found = Some(bucket.ids[i]);
+                    for cand in std::iter::once(&bucket.first).chain(&bucket.rest) {
+                        probe_entries += 1;
+                        if cand.val.approx_eq(c, self.tolerance) {
+                            found = Some(cand.id);
                             break 'probe;
                         }
-                        None => probe_entries += bucket.vals.len() as u64,
                     }
                 }
             }
@@ -394,123 +378,6 @@ impl ComplexTable {
         self.lookup(product)
     }
 
-    /// Interns `[a·b0, a·b1]` — the vector-node leaf multiply: one edge
-    /// weight times both child weights, with the products computed through
-    /// the dispatched SIMD kernel (bitwise identical to two [`mul`]
-    /// calls, including per-element shortcut and interning order).
-    ///
-    /// [`mul`]: Self::mul
-    #[inline]
-    pub fn mul2(&mut self, a: ComplexId, b: [ComplexId; 2]) -> [ComplexId; 2] {
-        if a.is_zero() {
-            return [ComplexId::ZERO; 2];
-        }
-        if a.is_one() {
-            return b;
-        }
-        // Lanes holding zero/one children resolve without arithmetic; only
-        // batch when at least two lanes pay for a product. Lane products
-        // are bitwise identical either way, so this is purely a cost gate.
-        let needs = [self.needs_product(b[0]), self.needs_product(b[1])];
-        let av = self.value(a);
-        let products = match needs {
-            [true, true] => simd::mul_scaled2(self.simd, av, [self.value(b[0]), self.value(b[1])]),
-            [true, false] => [av * self.value(b[0]), Complex::ONE],
-            [false, true] => [Complex::ONE, av * self.value(b[1])],
-            [false, false] => [Complex::ONE; 2],
-        };
-        let mut out = [ComplexId::ZERO; 2];
-        for i in 0..2 {
-            out[i] = self.resolve_scaled(a, b[i], products[i]);
-        }
-        out
-    }
-
-    /// Interns `[a·b0, a·b1, a·b2, a·b3]` — the matrix-node (2×2 quadrant)
-    /// leaf multiply. Same contract as [`mul2`](Self::mul2).
-    #[inline]
-    pub fn mul4(&mut self, a: ComplexId, b: [ComplexId; 4]) -> [ComplexId; 4] {
-        if a.is_zero() {
-            return [ComplexId::ZERO; 4];
-        }
-        if a.is_one() {
-            return b;
-        }
-        let needs = [
-            self.needs_product(b[0]),
-            self.needs_product(b[1]),
-            self.needs_product(b[2]),
-            self.needs_product(b[3]),
-        ];
-        let av = self.value(a);
-        let mut products = [Complex::ONE; 4];
-        if needs.iter().filter(|&&n| n).count() >= 2 {
-            products = simd::mul_scaled4(
-                self.simd,
-                av,
-                [
-                    self.factor(b[0]),
-                    self.factor(b[1]),
-                    self.factor(b[2]),
-                    self.factor(b[3]),
-                ],
-            );
-        } else {
-            for i in 0..4 {
-                if needs[i] {
-                    products[i] = av * self.value(b[i]);
-                }
-            }
-        }
-        let mut out = [ComplexId::ZERO; 4];
-        for i in 0..4 {
-            out[i] = self.resolve_scaled(a, b[i], products[i]);
-        }
-        out
-    }
-
-    /// The multiplicand fed to the batched product for child weight `b`:
-    /// trivial children (zero/one) get a placeholder lane whose product is
-    /// discarded by [`resolve_scaled`](Self::resolve_scaled).
-    #[inline]
-    fn factor(&self, b: ComplexId) -> Complex {
-        if b.is_zero() || b.is_one() {
-            Complex::ONE
-        } else {
-            self.value(b)
-        }
-    }
-
-    /// Whether a batched-multiply lane actually needs its product computed
-    /// (zero/one lanes resolve by shortcut alone).
-    #[inline]
-    fn needs_product(&self, b: ComplexId) -> bool {
-        !b.is_zero() && !b.is_one()
-    }
-
-    /// Whether a batched-divide lane needs its quotient computed (zero and
-    /// `a == b` lanes resolve by shortcut alone).
-    #[inline]
-    fn needs_quotient(&self, a: ComplexId, b: ComplexId) -> bool {
-        !a.is_zero() && a != b
-    }
-
-    /// Per-element epilogue of the batched multiply, mirroring [`mul`]'s
-    /// shortcuts exactly: zero/one children never intern, everything else
-    /// interns the precomputed product in element order.
-    ///
-    /// [`mul`]: Self::mul
-    #[inline]
-    fn resolve_scaled(&mut self, a: ComplexId, b: ComplexId, product: Complex) -> ComplexId {
-        if b.is_zero() {
-            ComplexId::ZERO
-        } else if b.is_one() {
-            a
-        } else {
-            self.lookup(product)
-        }
-    }
-
     /// Interns the sum of two interned values.
     #[inline]
     pub fn add(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
@@ -543,109 +410,6 @@ impl ComplexTable {
         }
         let quotient = self.value(a) / self.value(b);
         self.lookup(quotient)
-    }
-
-    /// Interns `[a0/b, a1/b]` — edge-weight normalization: every child
-    /// weight divided by the pivot. The reciprocal of `b` is computed once
-    /// and the products go through the dispatched SIMD kernel; per-element
-    /// results are bitwise identical to [`div`](Self::div) (which is
-    /// multiplication by the same reciprocal), in the same interning order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` denotes zero.
-    #[inline]
-    pub fn div2(&mut self, a: [ComplexId; 2], b: ComplexId) -> [ComplexId; 2] {
-        assert!(!b.is_zero(), "division by interned zero");
-        if b.is_one() {
-            return a;
-        }
-        // Same cost gate as [`mul2`](Self::mul2): shortcut lanes skip the
-        // arithmetic entirely, and a single live lane multiplies inline.
-        // The reciprocal (two float divides) is only taken when some lane
-        // actually consumes it — all-shortcut normalizations are free.
-        let needs = [self.needs_quotient(a[0], b), self.needs_quotient(a[1], b)];
-        let products = match needs {
-            [true, true] => {
-                let recip = self.value(b).recip();
-                simd::mul_scaled2(self.simd, recip, [self.value(a[0]), self.value(a[1])])
-            }
-            [true, false] => [self.value(b).recip() * self.value(a[0]), Complex::ONE],
-            [false, true] => [Complex::ONE, self.value(b).recip() * self.value(a[1])],
-            [false, false] => [Complex::ONE; 2],
-        };
-        let mut out = [ComplexId::ZERO; 2];
-        for i in 0..2 {
-            out[i] = self.resolve_div(a[i], b, products[i]);
-        }
-        out
-    }
-
-    /// Interns `[a0/b, a1/b, a2/b, a3/b]`. Same contract as
-    /// [`div2`](Self::div2).
-    #[inline]
-    pub fn div4(&mut self, a: [ComplexId; 4], b: ComplexId) -> [ComplexId; 4] {
-        assert!(!b.is_zero(), "division by interned zero");
-        if b.is_one() {
-            return a;
-        }
-        let needs = [
-            self.needs_quotient(a[0], b),
-            self.needs_quotient(a[1], b),
-            self.needs_quotient(a[2], b),
-            self.needs_quotient(a[3], b),
-        ];
-        let live = needs.iter().filter(|&&n| n).count();
-        let mut products = [Complex::ONE; 4];
-        if live >= 2 {
-            let recip = self.value(b).recip();
-            products = simd::mul_scaled4(
-                self.simd,
-                recip,
-                [
-                    self.div_factor(a[0], b),
-                    self.div_factor(a[1], b),
-                    self.div_factor(a[2], b),
-                    self.div_factor(a[3], b),
-                ],
-            );
-        } else if live == 1 {
-            let recip = self.value(b).recip();
-            for i in 0..4 {
-                if needs[i] {
-                    products[i] = recip * self.value(a[i]);
-                }
-            }
-        }
-        let mut out = [ComplexId::ZERO; 4];
-        for i in 0..4 {
-            out[i] = self.resolve_div(a[i], b, products[i]);
-        }
-        out
-    }
-
-    /// Dividend lane fed to the batched normalization for numerator `a`:
-    /// shortcut elements (zero, or `a == b`) get a placeholder lane.
-    #[inline]
-    fn div_factor(&self, a: ComplexId, b: ComplexId) -> Complex {
-        if a.is_zero() || a == b {
-            Complex::ONE
-        } else {
-            self.value(a)
-        }
-    }
-
-    /// Per-element epilogue of the batched division, mirroring
-    /// [`div`](Self::div)'s shortcuts exactly.
-    #[inline]
-    fn resolve_div(&mut self, a: ComplexId, b: ComplexId, quotient: Complex) -> ComplexId {
-        if a.is_zero() {
-            ComplexId::ZERO
-        } else if a == b {
-            ComplexId::ONE
-        } else {
-            self.lookup(quotient)
-        }
     }
 
     /// Interns the negation of an interned value.
@@ -739,9 +503,14 @@ impl ComplexTable {
         });
         let (qre, _, _) = self.axis_cells(c.re);
         let (qim, _, _) = self.axis_cells(c.im);
-        let bucket = self.buckets.entry((qre, qim)).or_default();
-        bucket.vals.push(c);
-        bucket.ids.push(raw);
+        let cand = Candidate { val: c, id: raw };
+        self.buckets
+            .entry((qre, qim))
+            .and_modify(|cell| cell.rest.push(cand))
+            .or_insert(Bucket {
+                first: cand,
+                rest: Vec::new(),
+            });
         ComplexId(raw)
     }
 }
@@ -818,105 +587,6 @@ mod tests {
         assert!(t.value(minus).approx_eq(Complex::new(-0.3, 0.4), 1e-12));
         let back = t.neg(minus);
         assert_eq!(back, z);
-    }
-
-    #[test]
-    fn batched_mul_matches_sequential_mul_bitwise() {
-        // mul2/mul4 against a replayed table using scalar mul calls: ids,
-        // table length, and every stored bit must coincide — including the
-        // shortcut elements (zero/one children) and mixed cases.
-        let weights = [
-            Complex::SQRT2_INV,
-            Complex::new(0.3, -0.4),
-            Complex::new(-0.7, 0.2),
-            Complex::new(0.11, 0.93),
-        ];
-        let mut a_t = ComplexTable::new();
-        let mut b_t = ComplexTable::new();
-        let a_ids: Vec<ComplexId> = weights.iter().map(|&c| a_t.lookup(c)).collect();
-        let b_ids: Vec<ComplexId> = weights.iter().map(|&c| b_t.lookup(c)).collect();
-        assert_eq!(a_ids, b_ids);
-
-        let scale = a_ids[0];
-        let cases2: [[ComplexId; 2]; 4] = [
-            [a_ids[1], a_ids[2]],
-            [ComplexId::ZERO, a_ids[3]],
-            [a_ids[2], ComplexId::ONE],
-            [ComplexId::ONE, ComplexId::ZERO],
-        ];
-        for case in cases2 {
-            let batched = a_t.mul2(scale, case);
-            let sequential = [b_t.mul(scale, case[0]), b_t.mul(scale, case[1])];
-            assert_eq!(batched, sequential, "case {case:?}");
-        }
-        let case4 = [a_ids[1], ComplexId::ZERO, a_ids[2], a_ids[3]];
-        assert_eq!(
-            a_t.mul4(scale, case4),
-            [
-                b_t.mul(scale, case4[0]),
-                b_t.mul(scale, case4[1]),
-                b_t.mul(scale, case4[2]),
-                b_t.mul(scale, case4[3]),
-            ]
-        );
-        assert_eq!(a_t.len(), b_t.len(), "identical interning history");
-        let av = a_t.values();
-        let bv = b_t.values();
-        for (i, (x, y)) in av.iter().zip(bv.iter()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "entry {i} re");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "entry {i} im");
-        }
-        // Degenerate scales.
-        assert_eq!(
-            a_t.mul2(ComplexId::ZERO, [a_ids[1], a_ids[2]]),
-            [ComplexId::ZERO; 2]
-        );
-        assert_eq!(
-            a_t.mul2(ComplexId::ONE, [a_ids[1], a_ids[2]]),
-            [a_ids[1], a_ids[2]]
-        );
-    }
-
-    #[test]
-    fn batched_div_matches_sequential_div_bitwise() {
-        let weights = [
-            Complex::new(0.3, -0.4),
-            Complex::new(-0.7, 0.2),
-            Complex::new(0.11, 0.93),
-        ];
-        let mut a_t = ComplexTable::new();
-        let mut b_t = ComplexTable::new();
-        let a_ids: Vec<ComplexId> = weights.iter().map(|&c| a_t.lookup(c)).collect();
-        let b_ids: Vec<ComplexId> = weights.iter().map(|&c| b_t.lookup(c)).collect();
-        assert_eq!(a_ids, b_ids);
-
-        let pivot = a_ids[0];
-        let cases2: [[ComplexId; 2]; 3] = [
-            [a_ids[1], a_ids[2]],
-            [pivot, a_ids[1]],           // a == b shortcut lane
-            [ComplexId::ZERO, a_ids[2]], // zero lane
-        ];
-        for case in cases2 {
-            let batched = a_t.div2(case, pivot);
-            let sequential = [b_t.div(case[0], pivot), b_t.div(case[1], pivot)];
-            assert_eq!(batched, sequential, "case {case:?}");
-        }
-        let case4 = [a_ids[1], pivot, ComplexId::ZERO, a_ids[2]];
-        assert_eq!(
-            a_t.div4(case4, pivot),
-            [
-                b_t.div(case4[0], pivot),
-                b_t.div(case4[1], pivot),
-                b_t.div(case4[2], pivot),
-                b_t.div(case4[3], pivot),
-            ]
-        );
-        assert_eq!(a_t.len(), b_t.len());
-        // ONE pivot is the identity.
-        assert_eq!(
-            a_t.div2([a_ids[1], a_ids[2]], ComplexId::ONE),
-            [a_ids[1], a_ids[2]]
-        );
     }
 
     #[test]
@@ -1031,32 +701,28 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_simd_tables_intern_identically() {
-        // The same lookup sequence against a SIMD table and a forced-scalar
-        // table: identical ids, identical stats, identical stored bits.
-        let mut simd_t = ComplexTable::with_tolerance_and_simd(DEFAULT_TOLERANCE, true);
-        let mut scalar_t = ComplexTable::with_tolerance_and_simd(DEFAULT_TOLERANCE, false);
-        assert_eq!(scalar_t.simd_level(), SimdLevel::Scalar);
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for round in 0..500 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let re = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let im = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0;
-            // Mix in near-duplicates so unification paths run.
-            let c = if round % 3 == 0 {
-                Complex::new(re + 1e-15, im)
-            } else {
-                Complex::new(re, im)
-            };
-            assert_eq!(simd_t.lookup(c), scalar_t.lookup(c), "round {round}");
-        }
-        assert_eq!(simd_t.len(), scalar_t.len());
-        assert_eq!(simd_t.stats(), scalar_t.stats());
+    fn crowded_cell_scans_in_insertion_order() {
+        // Raw-inserted through `from_values`, so all three values share one
+        // grid cell even though the first two lie within tolerance of each
+        // other: the cell holds one inline candidate and two spilled ones.
+        let tol = 1e-10;
+        let base = 1234.0 * 2.0 * tol;
+        let values = [
+            Complex::ZERO,
+            Complex::ONE,
+            Complex::real(base + 0.2e-10),
+            Complex::real(base + 0.6e-10),
+            Complex::real(base + 1.8e-10),
+        ];
+        let mut t = ComplexTable::from_values(tol, &values).unwrap();
+        assert_eq!(t.max_bucket_len(), 3);
+        // Within tolerance of both of the first two: the first inserted wins.
+        assert_eq!(t.lookup(Complex::real(base + 0.4e-10)).index(), 2);
+        // Only the last matches, after the scan passed the two before it.
+        let before = t.stats();
+        assert_eq!(t.lookup(Complex::real(base + 1.9e-10)).index(), 4);
+        assert_eq!(t.stats().delta(&before).probe_entries, 3);
+        assert_eq!(t.len(), values.len(), "no lookup inserted");
     }
 
     #[test]

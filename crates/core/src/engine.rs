@@ -33,6 +33,7 @@
 //! classical register, and the RNG stream position all round-trip exactly.
 //! A checkpoint acts as a barrier (the pending product is flushed first).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -42,8 +43,8 @@ use ddsim_circuit::{lower_swap, Circuit, GateOp, Operation};
 use ddsim_complex::Complex;
 use ddsim_dd::snapshot::fnv1a;
 use ddsim_dd::{
-    CancelToken, DdConfig, DdError, DdManager, FxHashMap, MatEdge, Par, Snapshot, ThreadPool,
-    VecEdge,
+    CancelToken, DdConfig, DdError, DdManager, FxHashMap, MatEdge, NodeId, Par, Snapshot,
+    ThreadPool, VecEdge,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -370,13 +371,15 @@ impl Simulator {
 
     /// Samples a full measurement (without collapsing).
     pub fn sample(&mut self) -> u64 {
+        let norms = self.dd.subtree_norms(self.state);
         let rng = &mut self.rng;
         let mut draw = || rng.gen::<f64>();
-        self.dd.sample(self.state, &mut draw)
+        self.dd.sample(self.state, &norms, &mut draw)
     }
 
     /// Samples `shots` full measurements and returns outcome counts —
-    /// the typical read-out a hardware backend would give.
+    /// the typical read-out a hardware backend would give. The state's
+    /// subtree norms are computed once per call and shared by every shot.
     ///
     /// At `threads ≤ 1` the shots draw from the simulator's RNG stream one
     /// by one, exactly as before threading existed. With a pool, each shot
@@ -385,19 +388,32 @@ impl Simulator {
     /// histogram depends only on the seed (counts merge commutatively),
     /// never on worker scheduling.
     pub fn sample_counts(&mut self, shots: u32) -> FxHashMap<u64, u32> {
+        let mut counts = FxHashMap::default();
+        if shots == 0 {
+            return counts;
+        }
+        let norms = self.dd.subtree_norms(self.state);
         if shots >= 2 {
             if let Some(pool) = self.pool.clone() {
-                return self.sample_counts_par(shots, &pool);
+                return self.sample_counts_par(shots, &pool, &norms);
             }
         }
-        let mut counts = FxHashMap::default();
+        let rng = &mut self.rng;
+        let mut draw = || rng.gen::<f64>();
         for _ in 0..shots {
-            *counts.entry(self.sample()).or_insert(0) += 1;
+            *counts
+                .entry(self.dd.sample(self.state, &norms, &mut draw))
+                .or_insert(0) += 1;
         }
         counts
     }
 
-    fn sample_counts_par(&mut self, shots: u32, pool: &Arc<ThreadPool>) -> FxHashMap<u64, u32> {
+    fn sample_counts_par(
+        &mut self,
+        shots: u32,
+        pool: &Arc<ThreadPool>,
+        norms: &HashMap<NodeId, f64>,
+    ) -> FxHashMap<u64, u32> {
         // One draw advances the main stream; each shot derives its own
         // substream from it (Weyl-sequence increment, the SplitMix64
         // constant), so outcomes are a pure function of (seed, shot index).
@@ -419,7 +435,7 @@ impl Simulator {
                             base.wrapping_add(u64::from(shot).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                         );
                         let mut draw = || rng.gen::<f64>();
-                        *local.entry(dd.sample(state, &mut draw)).or_insert(0) += 1;
+                        *local.entry(dd.sample(state, norms, &mut draw)).or_insert(0) += 1;
                         shot += lanes as u32;
                     }
                     *slots[lane].lock().expect("sample lane poisoned") = local;

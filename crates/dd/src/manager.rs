@@ -257,16 +257,6 @@ pub struct DdConfig {
     /// the budget is enforced at the next amortized check; overshoot is
     /// bounded by one capacity doubling of the largest table.
     pub max_table_bytes: Option<usize>,
-    /// Uses the SIMD (SSE2/AVX) leaf kernels for complex-table probes and
-    /// batched edge-weight arithmetic when `true` (the default) and the
-    /// hardware supports them. The scalar fallback is **bitwise
-    /// identical** — every diagram, amplitude, and statistics counter is
-    /// the same either way (property-tested) — so this is purely a
-    /// performance switch. Dispatch is resolved once at manager (or
-    /// snapshot-restore) construction, never per recursion step. No-op
-    /// when the `simd` cargo feature is compiled out or on non-x86-64
-    /// targets.
-    pub simd: bool,
     /// Test-only fault injection used by the fuzzing harness's
     /// `--self-check` to prove its oracles catch engine defects. Must stay
     /// [`FaultKind::None`] everywhere else.
@@ -284,7 +274,6 @@ impl Default for DdConfig {
             identity_skip: true,
             max_live_nodes: None,
             max_table_bytes: None,
-            simd: true,
             fault: crate::FaultKind::None,
         }
     }
@@ -368,7 +357,7 @@ impl DdManager {
     /// Creates a manager with an explicit configuration.
     pub fn with_config(config: DdConfig) -> Self {
         DdManager {
-            complex: ComplexTable::with_tolerance_and_simd(config.tolerance, config.simd),
+            complex: ComplexTable::with_tolerance(config.tolerance),
             vec_arena: Arena::new(),
             mat_arena: Arena::new(),
             vec_unique: UniqueTable::with_bits(config.unique_table_bits, (0, [VecEdge::ZERO; 2])),
@@ -820,37 +809,29 @@ impl DdManager {
 
     /// The two children of a vector edge's node, with the edge weight
     /// already multiplied in. A unit incoming weight (the common case after
-    /// normalization) returns the stored edges untouched; otherwise both
-    /// products go through the dispatched batched-multiply kernel.
+    /// normalization) returns the stored edges untouched; otherwise each
+    /// child weight is multiplied in, in child order.
     pub(crate) fn vec_children_weighted(&mut self, e: VecEdge) -> [VecEdge; 2] {
         debug_assert!(!e.node.is_terminal());
-        let node = *self.vec_node(e.node);
-        if e.weight.is_one() {
-            return node.edges;
+        let mut out = self.vec_node(e.node).edges;
+        if !e.weight.is_one() {
+            for child in &mut out {
+                child.weight = self.complex.mul(e.weight, child.weight);
+            }
         }
-        let mut out = node.edges;
-        let weights = self.complex.mul2(e.weight, [out[0].weight, out[1].weight]);
-        out[0].weight = weights[0];
-        out[1].weight = weights[1];
         out
     }
 
     /// The four children of a matrix edge's node, with the edge weight
-    /// already multiplied in. Same batching as
+    /// already multiplied in, as in
     /// [`vec_children_weighted`](Self::vec_children_weighted).
     pub(crate) fn mat_children_weighted(&mut self, e: MatEdge) -> [MatEdge; 4] {
         debug_assert!(!e.node.is_terminal());
-        let node = *self.mat_node(e.node);
-        if e.weight.is_one() {
-            return node.edges;
-        }
-        let mut out = node.edges;
-        let weights = self.complex.mul4(
-            e.weight,
-            [out[0].weight, out[1].weight, out[2].weight, out[3].weight],
-        );
-        for (child, w) in out.iter_mut().zip(weights) {
-            child.weight = w;
+        let mut out = self.mat_node(e.node).edges;
+        if !e.weight.is_one() {
+            for child in &mut out {
+                child.weight = self.complex.mul(e.weight, child.weight);
+            }
         }
         out
     }
@@ -892,9 +873,9 @@ impl DdManager {
             Some(w) => w,
             None => return VecEdge::ZERO,
         };
-        let weights = self.complex.div2([edges[0].weight, edges[1].weight], top);
-        edges[0].weight = weights[0];
-        edges[1].weight = weights[1];
+        for e in &mut edges {
+            e.weight = self.complex.div(e.weight, top);
+        }
         let key = (level, edges);
         let node = match self.vec_unique.get(&key) {
             Some(id) => id,
@@ -935,17 +916,8 @@ impl DdManager {
             Some(w) => w,
             None => return MatEdge::ZERO,
         };
-        let weights = self.complex.div4(
-            [
-                edges[0].weight,
-                edges[1].weight,
-                edges[2].weight,
-                edges[3].weight,
-            ],
-            top,
-        );
-        for (e, w) in edges.iter_mut().zip(weights) {
-            e.weight = w;
+        for e in &mut edges {
+            e.weight = self.complex.div(e.weight, top);
         }
         let key = (level, edges);
         let node = match self.mat_unique.get(&key) {

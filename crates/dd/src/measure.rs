@@ -148,31 +148,47 @@ impl DdManager {
         (outcome, collapsed)
     }
 
+    /// Squared norm of every node of the DD below `v`, keyed by node: the
+    /// branch weights [`sample`](Self::sample) draws by. Computed once per
+    /// state, it serves every shot drawn from that state.
+    pub fn subtree_norms(&self, v: VecEdge) -> HashMap<NodeId, f64> {
+        let mut norms = HashMap::new();
+        self.norm_sqr_rec(v.node, &mut norms);
+        norms
+    }
+
     /// Samples a full computational-basis measurement without collapsing the
     /// state, drawing one uniform random number per qubit from `rand_fn`.
+    /// `norms` must be [`subtree_norms`](Self::subtree_norms) of the same
+    /// `v`.
     ///
     /// Returns the sampled basis index (qubit 0 in the top bit, matching
     /// [`vec_basis`](Self::vec_basis)).
-    pub fn sample(&self, v: VecEdge, rand_fn: &mut dyn FnMut() -> f64) -> u64 {
-        let mut norm_cache = HashMap::new();
+    pub fn sample(
+        &self,
+        v: VecEdge,
+        norms: &HashMap<NodeId, f64>,
+        rand_fn: &mut dyn FnMut() -> f64,
+    ) -> u64 {
+        let branch = |e: VecEdge| {
+            if e.is_zero() {
+                return 0.0;
+            }
+            let below = if e.node.is_terminal() {
+                1.0
+            } else {
+                norms[&e.node]
+            };
+            self.complex_value(e.weight).norm_sqr() * below
+        };
         let mut index = 0u64;
         let mut node = v.node;
         let width = self.vec_level(v);
         let mut level = width;
         while !node.is_terminal() {
             let n = *self.vec_node(node);
-            let w0 = if n.edges[0].is_zero() {
-                0.0
-            } else {
-                self.complex_value(n.edges[0].weight).norm_sqr()
-                    * self.norm_sqr_rec(n.edges[0].node, &mut norm_cache)
-            };
-            let w1 = if n.edges[1].is_zero() {
-                0.0
-            } else {
-                self.complex_value(n.edges[1].weight).norm_sqr()
-                    * self.norm_sqr_rec(n.edges[1].node, &mut norm_cache)
-            };
+            let w0 = branch(n.edges[0]);
+            let w1 = branch(n.edges[1]);
             let total = w0 + w1;
             let bit = if total <= 0.0 {
                 0
@@ -280,8 +296,9 @@ mod tests {
             counter += 0.37;
             counter % 1.0
         };
+        let norms = dd.subtree_norms(v);
         for _ in 0..16 {
-            assert_eq!(dd.sample(v, &mut next), 3);
+            assert_eq!(dd.sample(v, &norms, &mut next), 3);
         }
     }
 
@@ -296,9 +313,10 @@ mod tests {
             x = (x + 0.381_966) % 1.0;
             x
         };
+        let norms = dd.subtree_norms(v);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..64 {
-            seen.insert(dd.sample(v, &mut next));
+            seen.insert(dd.sample(v, &norms, &mut next));
         }
         assert_eq!(seen.len(), 4, "all four outcomes must appear");
     }

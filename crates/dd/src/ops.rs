@@ -1129,42 +1129,6 @@ mod tests {
         }
     }
 
-    /// The scalar leaf kernels are the semantic reference: with `simd`
-    /// disabled the same workload must build bitwise-identical diagrams —
-    /// same edges (node ids *and* interned weight ids), same statistics
-    /// (including the complex-table probe counters), same amplitudes to
-    /// the bit. The SIMD paths avoid FMA and re-order nothing, so the two
-    /// instantiations are not merely close: they are the same computation.
-    #[test]
-    fn simd_and_scalar_instantiations_are_bitwise_identical() {
-        let mut vectorized = DdManager::new();
-        let mut scalar = DdManager::with_config(DdConfig {
-            simd: false,
-            ..DdConfig::default()
-        });
-
-        let (vs, ms) = full_surface_workload(&mut vectorized);
-        let (vc, mc) = full_surface_workload(&mut scalar);
-        assert_eq!(vs, vc, "state edges must be bitwise identical");
-        assert_eq!(ms, mc, "matrix edges must be bitwise identical");
-        assert_eq!(vectorized.stats(), scalar.stats());
-        assert_eq!(vectorized.cache_stats(), scalar.cache_stats());
-        assert_eq!(vectorized.live_vec_nodes(), scalar.live_vec_nodes());
-        assert_eq!(vectorized.live_mat_nodes(), scalar.live_mat_nodes());
-        assert_eq!(vectorized.distinct_weights(), scalar.distinct_weights());
-        assert_eq!(
-            vectorized.complex_table_occupancy(),
-            scalar.complex_table_occupancy()
-        );
-
-        let av = vectorized.vec_to_amplitudes(vs);
-        let ac = scalar.vec_to_amplitudes(vc);
-        for (i, (x, y)) in av.iter().zip(ac.iter()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "amplitude {i} (re)");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "amplitude {i} (im)");
-        }
-    }
-
     /// Satellite: a limit armed *between* top-level operations must flip
     /// the next operation onto the governed instantiation — the dispatch
     /// reads `is_governed()` per call, so nothing is latched at manager

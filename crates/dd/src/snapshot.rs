@@ -329,10 +329,6 @@ impl Snapshot {
         }
         dd.complex = ComplexTable::from_values(self.tolerance, &self.weights)
             .map_err(SnapshotError::Corrupt)?;
-        // `from_values` builds with the default SIMD tier; re-apply the
-        // caller's choice (the results are bitwise identical either way —
-        // this only selects which kernels compute them).
-        dd.complex.set_simd_enabled(config.simd);
         let weight_of = |w: u32| ComplexId::from_index(w as usize);
         // Captured nodes are usually a fixpoint of make_vec_node's
         // normalization (pivot child weight exactly ONE), so rebuilding

@@ -166,17 +166,6 @@ fn dd_variants(full: bool) -> Vec<(&'static str, DdConfig)> {
                 ..base
             },
         ),
-        // The scalar leaf kernels must be bitwise-identical to the SIMD
-        // ones, so this point must agree with the dense reference exactly
-        // as the default point does — and any divergence between the two
-        // code paths shows up as a lattice disagreement.
-        (
-            "dd=scalar",
-            DdConfig {
-                simd: false,
-                ..base
-            },
-        ),
     ];
     if full {
         variants.extend([
@@ -202,17 +191,6 @@ fn dd_variants(full: bool) -> Vec<(&'static str, DdConfig)> {
                     compute_table_bits: 4,
                     unique_table_bits: 3,
                     gc_threshold: 64,
-                    ..base
-                },
-            ),
-            // Scalar kernels under table pressure: rebuilds and re-probes
-            // of the complex table must land on the same interned ids.
-            (
-                "dd=scalar-tiny-tables",
-                DdConfig {
-                    simd: false,
-                    compute_table_bits: 4,
-                    unique_table_bits: 3,
                     ..base
                 },
             ),
@@ -925,8 +903,8 @@ mod tests {
 
     #[test]
     fn lattice_sizes() {
-        assert_eq!(config_lattice(false).len(), 45);
-        assert_eq!(config_lattice(true).len(), 85);
+        assert_eq!(config_lattice(false).len(), 40);
+        assert_eq!(config_lattice(true).len(), 75);
     }
 
     #[test]

@@ -270,71 +270,6 @@ fn governed_and_ungoverned_runs_are_bitwise_identical() {
 }
 
 #[test]
-fn simd_on_and_off_runs_are_bitwise_identical() {
-    // The scalar leaf kernels are the reference semantics; the SIMD paths
-    // must be the SAME computation, not a tolerance-equal one. Every
-    // combining strategy, random circuits: amplitudes bit for bit, the
-    // machine-independent run statistics, and the full cache/complex-table
-    // counter block all identical with `simd` on vs off.
-    let strategies = [
-        Strategy::Sequential,
-        Strategy::KOperations { k: 4 },
-        Strategy::MaxSize { s_max: 32 },
-        Strategy::DdRepeating { k: 4 },
-        Strategy::adaptive(),
-    ];
-    for seed in 0..3u64 {
-        for strategy in strategies {
-            let circuit = random_circuit(6, 60, seed);
-            let vectorized = SimOptions::with_strategy(strategy);
-            let scalar = SimOptions {
-                strategy,
-                dd_config: DdConfig {
-                    simd: false,
-                    ..DdConfig::default()
-                },
-                ..SimOptions::default()
-            };
-            let (sim_v, stats_v) = simulate(&circuit, vectorized).expect("simd run");
-            let (sim_s, stats_s) = simulate(&circuit, scalar).expect("scalar run");
-            for i in 0..(1u64 << 6) {
-                let a = sim_v.amplitude(i);
-                let b = sim_s.amplitude(i);
-                assert_eq!(
-                    (a.re.to_bits(), a.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "seed {seed}, {strategy}, amplitude {i}: {a} vs {b}"
-                );
-            }
-            let shape = |s: &ddsim_repro::core::RunStats| {
-                (
-                    s.elementary_gates,
-                    s.mat_vec_mults,
-                    s.mat_mat_mults,
-                    s.identity_skips,
-                    s.specialized_applies,
-                    s.mult_recursions,
-                    s.add_recursions,
-                    s.peak_state_nodes,
-                    s.peak_matrix_nodes,
-                    s.final_state_nodes,
-                    s.gc_runs,
-                )
-            };
-            assert_eq!(
-                shape(&stats_v),
-                shape(&stats_s),
-                "seed {seed}, {strategy}: run statistics diverged between kernels"
-            );
-            assert_eq!(
-                stats_v.cache, stats_s.cache,
-                "seed {seed}, {strategy}: cache/complex-table counters diverged"
-            );
-        }
-    }
-}
-
-#[test]
 fn explicit_single_thread_is_bitwise_identical_to_default() {
     // `threads: 1` is the documented sequential contract: no pool is
     // built, the `Par::Seq` kernels run, and the results — amplitudes AND

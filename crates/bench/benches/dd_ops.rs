@@ -2,14 +2,12 @@
 //! the paper's Section III cost argument (MxM on small gate DDs vs. MxV
 //! through a large state DD).
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use ddsim_algorithms::grover::{grover_circuit, GroverInstance};
 use ddsim_algorithms::supremacy::{supremacy_circuit, SupremacyInstance};
 use ddsim_complex::Complex;
 use ddsim_core::{simulate, DdConfig, SimOptions};
-use ddsim_dd::{Control, DdManager, Par, ThreadPool, VecEdge};
+use ddsim_dd::{Control, DdManager, VecEdge};
 
 fn h_gate() -> ddsim_dd::Matrix2 {
     let s = Complex::SQRT2_INV;
@@ -202,39 +200,6 @@ fn specialized_vs_generic(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fork-join MxV against a large state DD across pool widths. A 1-lane
-/// pool never forks (the `Par` dispatch falls back to the sequential
-/// kernel), so the `1` row measures pure dispatch overhead; wider rows
-/// measure the isolated-worker split/export/merge pipeline. On a
-/// single-core host the wider rows time-slice and mostly show overhead —
-/// the smoke gate below only enforces speedup on 4+ hardware threads.
-fn mxv_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mxv_threaded");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    let n = 12u32;
-    for lanes in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("mxv_large_state", lanes),
-            &lanes,
-            |b, &lanes| {
-                let mut dd = DdManager::new();
-                dd.set_par(Par::Threaded(Arc::new(ThreadPool::new(lanes))));
-                let state = dense_state(&mut dd, n);
-                dd.inc_ref_vec(state);
-                let gate = dd.mat_controlled(n, &[Control::pos(3)], 7, x_gate());
-                dd.inc_ref_mat(gate);
-                b.iter(|| {
-                    dd.collect_garbage();
-                    dd.mat_vec_mul(gate, state)
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The same cross-half CNOT applied to the same ladder state before and
 /// after a full sifting pass: identical function, identical multiply —
 /// the only difference is the variable order, ~2^k nodes in circuit
@@ -317,7 +282,6 @@ criterion_group!(
     gate_construction,
     mxv_vs_mxm,
     mxv_identity_heavy,
-    mxv_threaded,
     mxv_reordered,
     specialized_vs_generic,
     cache_pressure
@@ -341,31 +305,19 @@ criterion_group!(
 ///    nanoseconds are machine-dependent; CI sets a looser tolerance and
 ///    treats the relative gate as the authoritative one.
 ///
-/// Two further gates cover the thread-parallel engine:
+/// A third gate covers dynamic reordering:
 ///
-/// 3. **Threaded parity**: with a 1-lane pool installed the `Par`
-///    dispatch never forks, so both smoke workloads must run within
-///    `DDSIM_SMOKE_REL_TOL` of the plain sequential manager — turning
-///    the threading knob on (at width 1) is free.
-/// 4. **Threaded speedup** (4+ hardware threads only, skipped with a
-///    note otherwise): a pool as wide as the machine must deliver at
-///    least `DDSIM_SMOKE_SPEEDUP` (default 2.0) × over sequential on at
-///    least one of large-state MxV and shot sampling.
-///
-/// A fifth gate covers dynamic reordering:
-///
-/// 5. **Reorder leg**: sifting OFF is the shipped default, so the
+/// 3. **Reorder leg**: sifting OFF is the shipped default, so the
 ///    whole-run `simulate` cost of an order-sensitive ladder is held to
 ///    the checked-in baseline (`sim_ladder_reorder_off`, same
 ///    `DDSIM_SMOKE_ABS_TOL` drift window); and sifting ON must earn its
 ///    keep on the same circuit by shrinking the final state DD ≥ 2×.
 mod smoke {
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use ddsim_complex::Complex;
     use ddsim_core::{simulate, DdConfig, ReorderMode, SimOptions};
-    use ddsim_dd::{Control, DdManager, Par, ThreadPool};
+    use ddsim_dd::{Control, DdManager};
 
     const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/dd_ops_smoke.json");
 
@@ -511,78 +463,7 @@ mod smoke {
         }
     }
 
-    /// Measures a smoke workload on a sequential manager vs. one with a
-    /// `lanes`-wide pool installed, interleaved like every other pair.
-    /// Returns `(sequential_ns, threaded_ns)`.
-    fn measure_threaded_case(name: &str, lanes: usize) -> (f64, f64) {
-        let n = 12u32;
-        let setup = |threaded: bool| {
-            let mut dd = DdManager::new();
-            if threaded {
-                dd.set_par(Par::Threaded(Arc::new(ThreadPool::new(lanes))));
-            }
-            let state = super::dense_state(&mut dd, n);
-            dd.inc_ref_vec(state);
-            let gate = dd.mat_controlled(n, &[Control::pos(3)], 7, super::x_gate());
-            dd.inc_ref_mat(gate);
-            let g2 = dd.mat_single_qubit(n, 5, super::h_gate());
-            dd.inc_ref_mat(g2);
-            (dd, gate, g2, state)
-        };
-        let (mut dd_s, gate_s, g2_s, state_s) = setup(false);
-        let (mut dd_t, gate_t, g2_t, state_t) = setup(true);
-        match name {
-            "mxv_gate_times_large_state" => measure_pair(
-                &mut || {
-                    dd_s.collect_garbage();
-                    std::hint::black_box(dd_s.mat_vec_mul(gate_s, state_s).expect("sequential"));
-                },
-                &mut || {
-                    dd_t.collect_garbage();
-                    std::hint::black_box(dd_t.mat_vec_mul(gate_t, state_t).expect("threaded"));
-                },
-            ),
-            "mxm_gate_times_gate" => measure_pair(
-                &mut || {
-                    dd_s.collect_garbage();
-                    std::hint::black_box(dd_s.mat_mat_mul(g2_s, gate_s).expect("sequential"));
-                },
-                &mut || {
-                    dd_t.collect_garbage();
-                    std::hint::black_box(dd_t.mat_mat_mul(g2_t, gate_t).expect("threaded"));
-                },
-            ),
-            other => unreachable!("unknown threaded smoke case {other}"),
-        }
-    }
-
-    /// Shot sampling on a supremacy-style final state: sequential engine
-    /// vs. `threads`-lane engine, interleaved. Returns
-    /// `(sequential_ns, threaded_ns)` per `sample_counts` call.
-    fn measure_threaded_sampling(threads: u32) -> (f64, f64) {
-        let circuit = ddsim_algorithms::supremacy::supremacy_circuit(
-            ddsim_algorithms::supremacy::SupremacyInstance::new(2, 6, 10, 1),
-        );
-        let build = |threads: u32| {
-            let options = SimOptions {
-                threads,
-                ..SimOptions::default()
-            };
-            simulate(&circuit, options).expect("width matches").0
-        };
-        let mut sim_s = build(1);
-        let mut sim_t = build(threads);
-        measure_pair(
-            &mut || {
-                std::hint::black_box(sim_s.sample_counts(256));
-            },
-            &mut || {
-                std::hint::black_box(sim_t.sample_counts(256));
-            },
-        )
-    }
-
-    /// The order-sensitive ladder circuit behind gate 5 — the same shape
+    /// The order-sensitive ladder circuit behind gate 3 — the same shape
     /// the dd crate's sifting unit tests prove ≥2× on.
     fn ladder_circuit(k: u32) -> ddsim_circuit::Circuit {
         let mut c = ddsim_circuit::Circuit::new(2 * k);
@@ -666,57 +547,7 @@ mod smoke {
                 }
             }
         }
-        // Gate 3: a 1-lane pool never forks, so installing it must cost
-        // nothing beyond the `Par` dispatch.
-        for case in ["mxv_gate_times_large_state", "mxm_gate_times_gate"] {
-            let (sequential, threaded) = measure_threaded_case(case, 1);
-            let ratio = threaded / sequential;
-            println!(
-                "smoke {case} threads=1: sequential {sequential:.0} ns, threaded {threaded:.0} ns \
-                 (ratio {ratio:.3}, gate <= {rel_tol:.2})"
-            );
-            if ratio > rel_tol {
-                println!(
-                    "SMOKE FAIL {case}: a 1-lane pool is {:.1}% slower than the sequential \
-                     manager (Par dispatch regression)",
-                    (ratio - 1.0) * 100.0
-                );
-                failed = true;
-            }
-        }
-        // Gate 4: genuine speedup, only meaningful with real cores.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if cores >= 4 {
-            let speedup_gate = env_f64("DDSIM_SMOKE_SPEEDUP", 2.0);
-            let mut best = 0.0f64;
-            let (sequential, threaded) = measure_threaded_case("mxv_gate_times_large_state", cores);
-            let speedup = sequential / threaded;
-            println!(
-                "smoke mxv_gate_times_large_state threads={cores}: sequential {sequential:.0} ns, \
-                 threaded {threaded:.0} ns (speedup x{speedup:.2})"
-            );
-            best = best.max(speedup);
-            let (sequential, threaded) = measure_threaded_sampling(cores as u32);
-            let speedup = sequential / threaded;
-            println!(
-                "smoke shot_sampling_256 threads={cores}: sequential {sequential:.0} ns, \
-                 threaded {threaded:.0} ns (speedup x{speedup:.2})"
-            );
-            best = best.max(speedup);
-            if best < speedup_gate {
-                println!(
-                    "SMOKE FAIL threaded-speedup: best speedup x{best:.2} on {cores} hardware \
-                     threads is below the x{speedup_gate:.1} gate"
-                );
-                failed = true;
-            }
-        } else {
-            println!(
-                "smoke threaded-speedup: skipped ({cores} hardware thread(s) < 4; the \
-                 >=2x gate needs a multi-core host)"
-            );
-        }
-        // Gate 5: the reorder leg (see the module docs).
+        // Gate 3: the reorder leg (see the module docs).
         {
             let (off_ns, on_ns, nodes_off, nodes_on) = measure_reorder_sim(5);
             println!(

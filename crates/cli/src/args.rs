@@ -52,8 +52,6 @@ pub struct Args {
     pub dd_config: DdConfig,
     /// Wall-clock budget for the run (`--deadline`, seconds).
     pub deadline: Option<Duration>,
-    /// Worker threads (`--threads`; 1 = sequential, 0 = all cores).
-    pub threads: u32,
     /// Write a checkpoint every this many executed ops (0 = never).
     pub checkpoint_every: u64,
     /// Checkpoint destination (`--checkpoint-file`).
@@ -118,10 +116,6 @@ OPTIONS:
                              specialized gate-apply kernels (for ablation)
     --gc-threshold N         live-node count that triggers garbage
                              collection [default: 250000]
-    --threads N              worker threads for the DD kernels and shot
-                             sampling; 1 = strictly sequential (bitwise
-                             identical to the single-threaded engine),
-                             0 = all cores [default: 1]
     --help                   show this text
 
 RESOURCE LIMITS:
@@ -164,7 +158,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseArgsError> {
     let mut trace = false;
     let mut dd_config = DdConfig::default();
     let mut deadline = None;
-    let mut threads = 1u32;
     let mut checkpoint_every = 0u64;
     let mut checkpoint_file = "ddsim.snapshot".to_string();
     let mut resume = None;
@@ -264,10 +257,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseArgsError> {
                 deadline = Some(Duration::from_secs_f64(secs));
                 i += 1;
             }
-            "--threads" => {
-                threads = parse_value(argv.get(i + 1), "--threads")?;
-                i += 1;
-            }
             "--checkpoint-every" => {
                 checkpoint_every = parse_value(argv.get(i + 1), "--checkpoint-every")?;
                 if checkpoint_every == 0 {
@@ -316,7 +305,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseArgsError> {
         trace,
         dd_config,
         deadline,
-        threads,
         checkpoint_every,
         checkpoint_file,
         resume,
@@ -481,17 +469,6 @@ mod tests {
         assert!(parse(&argv(&["x.qasm", "--deadline", "0"])).is_err());
         assert!(parse(&argv(&["x.qasm", "--deadline", "-1"])).is_err());
         assert!(parse(&argv(&["x.qasm", "--checkpoint-every", "0"])).is_err());
-    }
-
-    #[test]
-    fn threads_flag() {
-        let a = parse(&argv(&["x.qasm"])).expect("valid");
-        assert_eq!(a.threads, 1, "sequential by default");
-        let b = parse(&argv(&["x.qasm", "--threads", "4"])).expect("valid");
-        assert_eq!(b.threads, 4);
-        let c = parse(&argv(&["x.qasm", "--threads", "0"])).expect("valid");
-        assert_eq!(c.threads, 0, "0 = all cores");
-        assert!(parse(&argv(&["x.qasm", "--threads", "lots"])).is_err());
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         collect_trace: args.trace,
         dd_config: args.dd_config,
         deadline: args.deadline,
-        threads: args.threads,
+        ..SimOptions::default()
     };
     let checkpoint_cfg = (args.checkpoint_every > 0).then(|| CheckpointConfig {
         every_ops: args.checkpoint_every,

@@ -47,6 +47,11 @@
 use crate::hash::FxHashMap;
 use crate::value::{Complex, DEFAULT_TOLERANCE};
 
+/// Grid distance (in cells of `2·tolerance`) from which an axis is keyed
+/// by the component's exact bits instead of its cell (see
+/// `ComplexTable::axis_cells`).
+const EXACT_CELLS: f64 = (1u64 << 62) as f64;
+
 /// Handle to an interned complex value inside a [`ComplexTable`].
 ///
 /// Ids are only meaningful relative to the table that produced them. The two
@@ -247,7 +252,7 @@ impl ComplexTable {
         self.stats
     }
 
-    /// Mutable access to the counters (worker absorption, resets).
+    /// Mutable access to the counters (resets).
     #[inline]
     pub fn stats_mut(&mut self) -> &mut ComplexTableStats {
         &mut self.stats
@@ -333,9 +338,7 @@ impl ComplexTable {
                 if (dim == -1 && !im_lo) || (dim == 1 && !im_hi) {
                     continue;
                 }
-                // Saturating: huge values (e.g. weight ratios across many
-                // magnitude scales) clamp the grid to the i64 edge.
-                let key = (qre.saturating_add(dre), qim.saturating_add(dim));
+                let key = (qre + dre, qim + dim);
                 buckets_probed += 1;
                 if let Some(bucket) = self.buckets.get(&key) {
                     for cand in std::iter::once(&bucket.first).chain(&bucket.rest) {
@@ -480,18 +483,24 @@ impl ComplexTable {
     /// to scanning all three cells, just cheaper. Near half-cell positions
     /// (or at magnitudes where an ulp exceeds the slack) both neighbours
     /// are probed, restoring the full 3-cell axis.
+    ///
+    /// From [`EXACT_CELLS`] cells out, the f64 spacing of `x` exceeds the
+    /// cell width, so only an identical component can match: the axis is
+    /// keyed by `±|x|.to_bits()` and probes no neighbour. Every such `x`
+    /// has `|x| ≥ 2` at any tolerance ≥ 2⁻⁶², so its key has magnitude
+    /// ≥ 2⁶², while ordinary cell indices lie strictly inside ±2⁶²; the
+    /// two key ranges never meet.
     fn axis_cells(&self, x: f64) -> (i64, bool, bool) {
         let width = 2.0 * self.tolerance;
         let r = x / width;
+        if r.abs() >= EXACT_CELLS {
+            // `|x|` is finite, so its bits stay below 2^63 and negate.
+            let bits = x.abs().to_bits() as i64;
+            return (if x < 0.0 { -bits } else { bits }, false, false);
+        }
         let q = r.floor();
         let frac = r - q;
         let slack = 8.0 * f64::EPSILON * r.abs() + 1e-9;
-        if !frac.is_finite() {
-            // r overflowed to infinity (astronomically large weight ratio):
-            // grid coordinates saturate; probe everything like the old
-            // unconditional 3×3 did.
-            return (r as i64, true, true);
-        }
         (q as i64, frac <= 0.5 + slack, frac >= 0.5 - slack)
     }
 
@@ -768,6 +777,30 @@ mod tests {
             &[Complex::ZERO, Complex::ONE, Complex::new(f64::NAN, 0.0)]
         )
         .is_err());
+    }
+
+    #[test]
+    fn huge_weights_get_a_cell_each() {
+        // Beyond 2^62 cells only identical components can unify, so each
+        // such weight keys its own cell instead of sharing one per sign.
+        let mut t = ComplexTable::new();
+        let values: Vec<Complex> = (0..1000)
+            .map(|i| {
+                let x = 1e7 + 1e4 * f64::from(i);
+                match i % 4 {
+                    0 => Complex::new(x, 0.25),
+                    1 => Complex::new(-x, -0.25),
+                    2 => Complex::new(0.25, -x),
+                    _ => Complex::new(-x, x),
+                }
+            })
+            .collect();
+        let ids: Vec<ComplexId> = values.iter().map(|&c| t.lookup(c)).collect();
+        assert_eq!(t.len(), 2 + values.len(), "every weight is distinct");
+        assert_eq!(t.max_bucket_len(), 1);
+        for (&c, &id) in values.iter().zip(&ids) {
+            assert_eq!(t.lookup(c), id, "re-lookup of {c:?}");
+        }
     }
 
     #[test]

@@ -33,19 +33,14 @@
 //! classical register, and the RNG stream position all round-trip exactly.
 //! A checkpoint acts as a barrier (the pending product is flushed first).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ddsim_circuit::{lower_swap, Circuit, GateOp, Operation};
 use ddsim_complex::Complex;
 use ddsim_dd::snapshot::fnv1a;
-use ddsim_dd::{
-    CancelToken, DdConfig, DdError, DdManager, FxHashMap, MatEdge, NodeId, Par, Snapshot,
-    ThreadPool, VecEdge,
-};
+use ddsim_dd::{CancelToken, DdConfig, DdError, DdManager, FxHashMap, MatEdge, Snapshot, VecEdge};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,13 +102,12 @@ pub struct SimOptions {
     /// start. `None` disables the deadline. On expiry the run unwinds with
     /// [`SimError::DeadlineExceeded`]; a resumed run gets a fresh window.
     pub deadline: Option<Duration>,
-    /// Worker threads for the DD kernels and shot sampling. `1` (the
-    /// default) runs strictly sequentially — bitwise identical to the
-    /// pre-threading engine. `0` uses all available cores. At `≥ 2` the
-    /// simulator owns a work-stealing pool: large multiplications fork
-    /// their quadrant products and [`Simulator::sample_counts`] spreads
-    /// shots across lanes (threaded amplitudes agree with sequential
-    /// within the weight-unification tolerance; see DESIGN.md §12).
+    /// Lanes for a noise-trajectory ensemble
+    /// ([`run_noisy_ensemble_with`](crate::noise::run_noisy_ensemble_with)):
+    /// `0` uses all available cores, `≤ 1` runs the trajectories one by
+    /// one. The ensemble's counts are the same at every setting. A
+    /// [`Simulator`] ignores it: one simulation runs on one thread, so
+    /// `threads` never changes an amplitude, a sample or a counter.
     pub threads: u32,
     /// Dynamic variable-reordering policy (see [`ReorderMode`]).
     /// Independent of this setting, the degradation ladder sifts once
@@ -133,24 +127,6 @@ impl Default for SimOptions {
             threads: 1,
             reorder: ReorderMode::None,
         }
-    }
-}
-
-/// Resolves a [`SimOptions::threads`] value to a concrete lane count
-/// (`0` means all available cores).
-pub(crate) fn effective_threads(threads: u32) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        n => n as usize,
-    }
-}
-
-/// Builds the shared pool for a `threads` setting, or `None` when the
-/// setting resolves to sequential execution.
-pub(crate) fn build_pool(threads: u32) -> Option<Arc<ThreadPool>> {
-    match effective_threads(threads) {
-        0 | 1 => None,
-        p => Some(Arc::new(ThreadPool::new(p))),
     }
 }
 
@@ -234,9 +210,6 @@ pub struct Simulator {
     // Fingerprint of the circuit the current/last run executed.
     active_circuit_hash: u64,
     stats: RunStats,
-    // The work-stealing pool behind `SimOptions::threads ≥ 2`; shared with
-    // the DD manager (fork-join kernels) and the shot-sampling loop.
-    pool: Option<Arc<ThreadPool>>,
     // Cooperative suspend request, observed at op boundaries in `run_from`
     // (checkpoint-then-park, see `set_suspend_token`). Kept separate from
     // the manager's cancel token: cancellation unwinds mid-multiply and is
@@ -261,10 +234,6 @@ impl Simulator {
     /// Panics if `n` is 0 or greater than 63.
     pub fn with_options(n: u32, options: SimOptions) -> Self {
         let mut dd = DdManager::with_config(options.dd_config);
-        let pool = build_pool(options.threads);
-        if let Some(pool) = &pool {
-            dd.set_par(Par::Threaded(Arc::clone(pool)));
-        }
         let state = dd.vec_zero_state(n);
         dd.inc_ref_vec(state);
         Simulator {
@@ -285,7 +254,6 @@ impl Simulator {
             ops_executed: 0,
             active_circuit_hash: 0,
             stats: RunStats::default(),
-            pool,
             suspend: None,
         }
     }
@@ -379,75 +347,20 @@ impl Simulator {
 
     /// Samples `shots` full measurements and returns outcome counts —
     /// the typical read-out a hardware backend would give. The state's
-    /// subtree norms are computed once per call and shared by every shot.
-    ///
-    /// At `threads ≤ 1` the shots draw from the simulator's RNG stream one
-    /// by one, exactly as before threading existed. With a pool, each shot
-    /// gets a deterministic substream derived from one draw of the main
-    /// stream, and the shots run across the pool's lanes; the resulting
-    /// histogram depends only on the seed (counts merge commutatively),
-    /// never on worker scheduling.
+    /// subtree norms are computed once per call and shared by every shot,
+    /// and the shots draw from the simulator's RNG stream one by one.
     pub fn sample_counts(&mut self, shots: u32) -> FxHashMap<u64, u32> {
         let mut counts = FxHashMap::default();
         if shots == 0 {
             return counts;
         }
         let norms = self.dd.subtree_norms(self.state);
-        if shots >= 2 {
-            if let Some(pool) = self.pool.clone() {
-                return self.sample_counts_par(shots, &pool, &norms);
-            }
-        }
         let rng = &mut self.rng;
         let mut draw = || rng.gen::<f64>();
         for _ in 0..shots {
             *counts
                 .entry(self.dd.sample(self.state, &norms, &mut draw))
                 .or_insert(0) += 1;
-        }
-        counts
-    }
-
-    fn sample_counts_par(
-        &mut self,
-        shots: u32,
-        pool: &Arc<ThreadPool>,
-        norms: &HashMap<NodeId, f64>,
-    ) -> FxHashMap<u64, u32> {
-        // One draw advances the main stream; each shot derives its own
-        // substream from it (Weyl-sequence increment, the SplitMix64
-        // constant), so outcomes are a pure function of (seed, shot index).
-        let base = self.rng.gen::<u64>();
-        let lanes = pool.parallelism().min(shots as usize).max(1);
-        let slots: Vec<Mutex<FxHashMap<u64, u32>>> = (0..lanes)
-            .map(|_| Mutex::new(FxHashMap::default()))
-            .collect();
-        let dd = &self.dd;
-        let state = self.state;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..lanes)
-            .map(|lane| {
-                let slots = &slots;
-                Box::new(move || {
-                    let mut local: FxHashMap<u64, u32> = FxHashMap::default();
-                    let mut shot = lane as u32;
-                    while shot < shots {
-                        let mut rng = StdRng::seed_from_u64(
-                            base.wrapping_add(u64::from(shot).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                        );
-                        let mut draw = || rng.gen::<f64>();
-                        *local.entry(dd.sample(state, norms, &mut draw)).or_insert(0) += 1;
-                        shot += lanes as u32;
-                    }
-                    *slots[lane].lock().expect("sample lane poisoned") = local;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(tasks);
-        let mut counts = FxHashMap::default();
-        for slot in slots {
-            for (outcome, c) in slot.into_inner().expect("sample lane poisoned") {
-                *counts.entry(outcome).or_insert(0) += c;
-            }
         }
         counts
     }
@@ -568,8 +481,7 @@ impl Simulator {
         )?;
         snap.save(path)?;
         // Reload in place (see above). The governor's deadline and cancel
-        // token live on the manager and must carry over unchanged, as must
-        // the execution policy (the restored manager defaults to `Seq`).
+        // token live on the manager and must carry over unchanged.
         let deadline = self.dd.deadline();
         let cancel = self.dd.cancel_token();
         let (dd, state) = snap.restore(self.options.dd_config)?;
@@ -577,9 +489,6 @@ impl Simulator {
         self.state = state;
         self.dd.set_deadline(deadline);
         self.dd.set_cancel_token(cancel);
-        if let Some(pool) = &self.pool {
-            self.dd.set_par(Par::Threaded(Arc::clone(pool)));
-        }
         self.cached_state_nodes = self.dd.vec_node_count(self.state);
         self.sift_baseline = self.cached_state_nodes.max(1);
         self.stats.checkpoints_written += 1;
@@ -623,11 +532,7 @@ impl Simulator {
                 snap.circuit_hash
             )));
         }
-        let (mut dd, state) = snap.restore(options.dd_config)?;
-        let pool = build_pool(options.threads);
-        if let Some(pool) = &pool {
-            dd.set_par(Par::Threaded(Arc::clone(pool)));
-        }
+        let (dd, state) = snap.restore(options.dd_config)?;
         let cached_state_nodes = dd.vec_node_count(state);
         let sim = Simulator {
             dd,
@@ -647,7 +552,6 @@ impl Simulator {
             ops_executed: snap.next_op,
             active_circuit_hash: snap.circuit_hash,
             stats: RunStats::default(),
-            pool,
             suspend: None,
         };
         Ok((sim, snap.next_op))

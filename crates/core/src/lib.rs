@@ -48,7 +48,7 @@ mod stats;
 mod strategy;
 
 pub use ddsim_dd::{
-    CacheStats, CancelToken, DdConfig, FaultKind, FxHashMap, Par, ReorderStats, Resource, Snapshot,
+    CacheStats, CancelToken, DdConfig, FaultKind, FxHashMap, ReorderStats, Resource, Snapshot,
     SnapshotError, TableStats, ThreadPool, UniqueTableStats, VarOrder,
 };
 pub use engine::{

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use ddsim_circuit::{Circuit, Operation, StandardGate};
-use ddsim_dd::{CancelToken, FxHashMap};
+use ddsim_dd::{CancelToken, FxHashMap, ThreadPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -160,11 +160,10 @@ pub fn run_noisy_ensemble_threaded(
 /// fault injection), reorder mode — with only the seed overridden to
 /// `template.seed + t`. `template.threads` parallelizes the *trajectory*
 /// loop on a work-stealing pool (`0` = all cores, `≤ 1` = sequential);
-/// each inner simulator runs single-threaded, since the trajectory level
-/// is where the parallelism pays. Every trajectory's circuit, run, and
-/// sample derive from its seed alone, so the aggregated counts are
-/// identical at every thread count — parallelism changes wall-clock time,
-/// never the result.
+/// each trajectory is its own simulator on one lane. Every trajectory's
+/// circuit, run, and sample derive from its seed alone, so the aggregated
+/// counts are identical at every thread count — parallelism changes
+/// wall-clock time, never the result.
 ///
 /// `template.deadline` bounds the *whole ensemble*: the budget is
 /// converted to an absolute instant up front and each trajectory gets
@@ -210,7 +209,6 @@ pub fn run_noisy_ensemble_with(
             SimOptions {
                 seed: trajectory_seed,
                 deadline: remaining,
-                threads: 1,
                 ..*template
             },
         );
@@ -219,7 +217,7 @@ pub fn run_noisy_ensemble_with(
         Ok(sim.sample())
     };
     let pool = if trajectories >= 2 {
-        crate::engine::build_pool(template.threads)
+        build_pool(template.threads)
     } else {
         None
     };
@@ -231,8 +229,8 @@ pub fn run_noisy_ensemble_with(
             }
         }
         Some(pool) => {
-            // Lane-sharded harvest (the `sample_counts_par` layout): one
-            // histogram slot per lane instead of one mutex per trajectory.
+            // Lane-sharded harvest: one histogram slot per lane instead of
+            // one mutex per trajectory.
             // Lanes own disjoint slots, so plain indexed writes through
             // `iter_mut` suffice — no locking anywhere.
             // A lane's histogram plus its first failure, if any.
@@ -288,6 +286,16 @@ pub fn run_noisy_ensemble_with(
         trajectories,
         counts,
     })
+}
+
+/// The trajectory pool for a [`SimOptions::threads`] setting (`0` = all
+/// available cores), or `None` when the setting resolves to one lane.
+fn build_pool(threads: u32) -> Option<ThreadPool> {
+    let lanes = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n as usize,
+    };
+    (lanes > 1).then(|| ThreadPool::new(lanes))
 }
 
 #[cfg(test)]

@@ -109,12 +109,6 @@ impl std::error::Error for DdError {}
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    /// A parent whose cancellation this token also observes (but never
-    /// latches). Used by the fork-join kernels: each parallel operation
-    /// hands its workers a child of the user's token, so a breach in one
-    /// worker can unwind its siblings without permanently cancelling the
-    /// caller's token.
-    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -123,25 +117,15 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that is cancelled when either it or `self` is cancelled.
-    /// Cancelling the child never latches the parent.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            parent: Some(Arc::new(self.clone())),
-        }
-    }
-
-    /// Latches this token (not its parent); every clone observes the
-    /// cancellation.
+    /// Latches this token; every clone observes the cancellation.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether this token or any ancestor has been cancelled.
+    /// Whether this token has been cancelled.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -156,20 +140,6 @@ mod tests {
         assert!(!t.is_cancelled() && !c.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled() && c.is_cancelled());
-    }
-
-    #[test]
-    fn child_tokens_observe_but_never_latch_the_parent() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        assert!(!child.is_cancelled());
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "child cancel must not latch parent");
-        let second = parent.child();
-        assert!(!second.is_cancelled());
-        parent.cancel();
-        assert!(second.is_cancelled(), "parent cancel reaches children");
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! Cached results whose diagrams survive a collection keep paying off
 //! across it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use ddsim_complex::{Complex, ComplexId, ComplexTable};
@@ -27,7 +25,6 @@ use ddsim_complex::{Complex, ComplexId, ComplexTable};
 use crate::compute::{CacheStats, ComputeTables};
 use crate::edge::{Level, MatEdge, NodeId, VecEdge};
 use crate::error::{BudgetBreach, CancelToken, DdError, Resource};
-use crate::par::{Par, SharedLiveBudget};
 use crate::unique::UniqueTable;
 
 /// A vector-DD node: two successors (upper / lower half of the sub-vector).
@@ -331,12 +328,6 @@ pub struct DdManager {
     /// [`DdError::BudgetExceeded`] is a bare discriminant; see
     /// [`BudgetBreach`]).
     last_breach: Option<BudgetBreach>,
-    /// Execution policy for the multiplication kernels (see `par.rs`).
-    /// [`Par::Seq`] by default; the sequential path is untouched by it.
-    par: Par,
-    /// Worker-side view of a fork-join coordinator's shared live-node
-    /// budget (see [`SharedLiveBudget`]); `None` outside fork-join workers.
-    shared_live: Option<SharedLiveBudget>,
     /// The qubit↔level permutation (see `reorder.rs`). Identity until a
     /// [`swap_levels`](Self::swap_levels) / [`sift_state`](Self::sift_state)
     /// changes it; every qubit-indexed accessor translates through it.
@@ -374,8 +365,6 @@ impl DdManager {
             governor_suspended: 0,
             governed: config.max_live_nodes.is_some() || config.max_table_bytes.is_some(),
             last_breach: None,
-            par: Par::default(),
-            shared_live: None,
             var_order: crate::VarOrder::identity(),
         }
     }
@@ -392,18 +381,6 @@ impl DdManager {
     /// [`swap_levels`](Self::swap_levels) / [`sift_state`](Self::sift_state).
     pub fn set_var_order(&mut self, order: crate::VarOrder) {
         self.var_order = order;
-    }
-
-    /// Sets the execution policy for subsequent multiplication kernels.
-    /// [`Par::Seq`] (the default) and any pool of parallelism 1 run the
-    /// exact sequential code path.
-    pub fn set_par(&mut self, par: Par) {
-        self.par = par;
-    }
-
-    /// The active execution policy.
-    pub fn par(&self) -> &Par {
-        &self.par
     }
 
     /// The active configuration.
@@ -447,39 +424,6 @@ impl DdManager {
     /// counters; computed on demand (O(buckets)), not kept hot.
     pub fn complex_table_occupancy(&self) -> (usize, usize) {
         (self.complex.bucket_count(), self.complex.max_bucket_len())
-    }
-
-    /// Merges a fork-join worker's statistics into this manager's, so a
-    /// threaded run reports the combined work of every shard. Operation
-    /// counters add directly; cache telemetry accumulates into the live
-    /// tables' counters (`compute_hits` / `compute_lookups` are *derived*
-    /// from those by [`stats`](Self::stats), so they are never added
-    /// here — doing so would double-count).
-    pub(crate) fn absorb_worker(&mut self, w: &DdStats) {
-        self.stats.mat_vec_mults += w.mat_vec_mults;
-        self.stats.mat_mat_mults += w.mat_mat_mults;
-        self.stats.mult_recursions += w.mult_recursions;
-        self.stats.add_recursions += w.add_recursions;
-        self.stats.identity_skips += w.identity_skips;
-        self.stats.specialized_applies += w.specialized_applies;
-        self.stats.gc_runs += w.gc_runs;
-        self.compute.add_vec.stats.accumulate(&w.cache.add_vec);
-        self.compute.add_mat.stats.accumulate(&w.cache.add_mat);
-        self.compute.mat_vec.stats.accumulate(&w.cache.mat_vec);
-        self.compute.mat_mat.stats.accumulate(&w.cache.mat_mat);
-        self.compute
-            .conj_transpose
-            .stats
-            .accumulate(&w.cache.conj_transpose);
-        self.compute.kron_vec.stats.accumulate(&w.cache.kron_vec);
-        self.compute.kron_mat.stats.accumulate(&w.cache.kron_mat);
-        self.compute
-            .apply_gate
-            .stats
-            .accumulate(&w.cache.apply_gate);
-        self.vec_unique.stats.accumulate(&w.cache.vec_unique);
-        self.mat_unique.stats.accumulate(&w.cache.mat_unique);
-        self.complex.stats_mut().accumulate(&w.cache.complex);
     }
 
     /// Resets the statistics counters (the diagrams are untouched).
@@ -626,36 +570,13 @@ impl DdManager {
         self.last_breach
     }
 
-    /// Records breach details harvested from a fork-join worker, so the
-    /// coordinator surfaces them exactly as a sequential trip would.
-    pub(crate) fn record_breach(&mut self, breach: BudgetBreach) {
-        self.last_breach = Some(breach);
-    }
-
-    /// Enrolls this (worker) manager in a fork-join coordinator's shared
-    /// live-node budget: each full governor check flushes the worker's
-    /// arena-count delta into `counter` and trips on the combined total.
-    pub(crate) fn install_shared_live(&mut self, counter: Arc<AtomicUsize>, limit: usize) {
-        self.shared_live = Some(SharedLiveBudget {
-            counter,
-            limit,
-            flushed: 0,
-        });
-        self.refresh_governed();
-        // First charge must do a full check: imports allocate nodes before
-        // any recursion runs, and short workloads may never reach the
-        // amortization interval.
-        self.charge_countdown = self.charge_countdown.min(1);
-    }
-
     /// Recomputes the [`governed`](field@Self::governed) fast-path flag;
     /// call after any change to budgets, deadline, or cancel token.
     pub(crate) fn refresh_governed(&mut self) {
         self.governed = self.cancel.is_some()
             || self.deadline.is_some()
             || self.config.max_live_nodes.is_some()
-            || self.config.max_table_bytes.is_some()
-            || self.shared_live.is_some();
+            || self.config.max_table_bytes.is_some();
     }
 
     /// The full governor check (cold path of [`charge`](Self::charge)).
@@ -681,32 +602,6 @@ impl DdManager {
             let live = self.vec_arena.live_count() + self.mat_arena.live_count();
             if live > limit {
                 return Err(self.breach(Resource::LiveNodes, limit as u64, live as u64));
-            }
-        }
-        if self.shared_live.is_some() {
-            let local = self.vec_arena.live_count() + self.mat_arena.live_count();
-            let (total, limit) = {
-                let shared = self.shared_live.as_mut().expect("checked above");
-                // Flush this worker's delta into the fleet-wide counter.
-                // Relaxed suffices: the counter is a monotonic-ish tally,
-                // not a synchronization point, and overshoot is already
-                // bounded by the amortization interval.
-                let total = if local >= shared.flushed {
-                    shared
-                        .counter
-                        .fetch_add(local - shared.flushed, Ordering::Relaxed)
-                        + (local - shared.flushed)
-                } else {
-                    shared
-                        .counter
-                        .fetch_sub(shared.flushed - local, Ordering::Relaxed)
-                        - (shared.flushed - local)
-                };
-                shared.flushed = local;
-                (total, shared.limit)
-            };
-            if total > limit {
-                return Err(self.breach(Resource::LiveNodes, limit as u64, total as u64));
             }
         }
         if let Some(limit) = self.config.max_table_bytes {

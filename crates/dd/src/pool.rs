@@ -1,15 +1,16 @@
 //! A small, dependency-free work-stealing thread pool.
 //!
-//! This is the execution substrate for every parallel surface in the
-//! workspace: the fork-join multiplication kernels (`par.rs`), the
-//! engine's shot-sampling and noise-trajectory loops, and the fuzz
-//! harness's config-lattice sweep. The design follows the faer-rs idiom
-//! of passing a parallelism *capability* down into kernels (see [`Par`] in
-//! `par.rs`) rather than spawning threads at use sites:
+//! It runs only work whose units are independent of each other: the noise
+//! trajectory ensemble, the fuzz harness's config-lattice sweep, and the
+//! server's job workers. Each unit owns its own
+//! [`DdManager`](crate::DdManager), so no table is shared across threads
+//! and no result depends on the thread count. The DD kernels themselves
+//! stay sequential: their speed comes from hash-consing and memoization
+//! over one manager's shared tables.
 //!
-//! * one pool is created per simulator / harness and reused for its whole
-//!   lifetime — workers park on a condvar between batches, so an idle pool
-//!   costs nothing;
+//! * one pool is created per ensemble / harness / server and reused for
+//!   its whole lifetime — workers park on a condvar between batches, so an
+//!   idle pool costs nothing;
 //! * each worker owns a deque; batch submission round-robins tasks across
 //!   the deques, workers pop their own front and **steal from the back**
 //!   of their peers (plus a shared injector for external submissions), so

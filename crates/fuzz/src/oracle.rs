@@ -9,13 +9,13 @@
 //! 2. **Config lattice** — [`config_lattice`] enumerates engine
 //!    configurations across every combining strategy, caches on/off,
 //!    identity skipping on/off, shrunken table capacities, an aggressive
-//!    GC threshold, a `par` axis running the fork-join kernels on a
-//!    worker pool, and a `reorder` axis running sifting-based dynamic
+//!    GC threshold, and a `reorder` axis running sifting-based dynamic
 //!    variable reordering. All points must agree with the dense reference
 //!    amplitude-for-amplitude; the lattice is what turns a single
-//!    differential test into a schedule/caching/GC/parallelism
-//!    cross-check. The points themselves run on a shared work-stealing
-//!    pool, with failures reported in deterministic lattice order.
+//!    differential test into a schedule/caching/GC cross-check. The
+//!    points are independent of each other, so they run on a shared
+//!    work-stealing pool, with failures reported in deterministic lattice
+//!    order.
 //! 3. **Equivalence** — for unitary circuits the full unitary DD is built
 //!    and checked against structural identities (flattening invariance and
 //!    `C·C⁻¹ ≈ I`), catching matrix-construction defects that a single
@@ -68,8 +68,6 @@ pub struct LatticePoint {
     pub dd_config: DdConfig,
     /// Wall-clock deadline for the run (budget-axis points only).
     pub deadline: Option<Duration>,
-    /// Worker threads for the engine (`par` axis; 1 = sequential).
-    pub threads: u32,
     /// Dynamic variable reordering policy (`reorder` axis).
     pub reorder: ReorderMode,
     /// Human-readable name used in failure reports.
@@ -231,29 +229,6 @@ fn budget_variants(full: bool) -> Vec<(&'static str, DdConfig, Option<Duration>)
     variants
 }
 
-/// The `par` axis: points running the engine with a worker pool, so the
-/// fork-join kernels and isolated-worker result merging are differentially
-/// fuzzed against the sequential recursion (and the dense reference) on
-/// every generated circuit. Thread counts stay small and odd-shaped on
-/// purpose: 3 lanes leaves quadrant splits uneven, and 2 lanes with an
-/// aggressive GC threshold imports worker results under collection
-/// pressure.
-fn par_variants(full: bool) -> Vec<(&'static str, DdConfig, u32)> {
-    let base = DdConfig::default();
-    let mut variants = vec![("par=threads3", base, 3)];
-    if full {
-        variants.push((
-            "par=threads2-tiny-gc",
-            DdConfig {
-                gc_threshold: 64,
-                ..base
-            },
-            2,
-        ));
-    }
-    variants
-}
-
 /// The `reorder` axis: points running with sifting-based dynamic variable
 /// reordering. Every amplitude and classical bit must still match the
 /// dense reference exactly — amplitude queries translate through the live
@@ -280,9 +255,8 @@ fn reorder_variants(full: bool) -> Vec<(&'static str, DdConfig)> {
 }
 
 /// The engine-configuration lattice: every combining strategy crossed with
-/// the DD-manager variants plus the budget, `par`, and `reorder` axes
-/// (quick: 5 × (6 + 1 + 1 + 1) = 45 points; full:
-/// 5 × (10 + 3 + 2 + 2) = 85).
+/// the DD-manager variants plus the budget and `reorder` axes
+/// (quick: 5 × (5 + 1 + 1) = 35 points; full: 5 × (8 + 3 + 2) = 65).
 pub fn config_lattice(full: bool) -> Vec<LatticePoint> {
     let strategies = [
         Strategy::Sequential,
@@ -298,7 +272,6 @@ pub fn config_lattice(full: bool) -> Vec<LatticePoint> {
                 strategy,
                 dd_config,
                 deadline: None,
-                threads: 1,
                 reorder: ReorderMode::None,
                 label: format!("{} {}", strategy.label(), name),
             });
@@ -308,17 +281,6 @@ pub fn config_lattice(full: bool) -> Vec<LatticePoint> {
                 strategy,
                 dd_config,
                 deadline,
-                threads: 1,
-                reorder: ReorderMode::None,
-                label: format!("{} {}", strategy.label(), name),
-            });
-        }
-        for (name, dd_config, threads) in par_variants(full) {
-            points.push(LatticePoint {
-                strategy,
-                dd_config,
-                deadline: None,
-                threads,
                 reorder: ReorderMode::None,
                 label: format!("{} {}", strategy.label(), name),
             });
@@ -328,7 +290,6 @@ pub fn config_lattice(full: bool) -> Vec<LatticePoint> {
                 strategy,
                 dd_config,
                 deadline: None,
-                threads: 1,
                 reorder: ReorderMode::Sifting,
                 label: format!("{} {}", strategy.label(), name),
             });
@@ -431,8 +392,8 @@ fn check_point(
             ..point.dd_config
         },
         deadline: point.deadline,
-        threads: point.threads,
         reorder: point.reorder,
+        ..SimOptions::default()
     };
     let run = quiet_catch(|| {
         let mut sim = Simulator::with_options(circuit.qubits(), options);
@@ -903,18 +864,8 @@ mod tests {
 
     #[test]
     fn lattice_sizes() {
-        assert_eq!(config_lattice(false).len(), 40);
-        assert_eq!(config_lattice(true).len(), 75);
-    }
-
-    #[test]
-    fn lattice_carries_a_par_axis() {
-        let threaded: Vec<_> = config_lattice(true)
-            .into_iter()
-            .filter(|p| p.threads > 1)
-            .collect();
-        assert_eq!(threaded.len(), 10, "2 par variants × 5 strategies");
-        assert!(threaded.iter().all(|p| !p.governed()));
+        assert_eq!(config_lattice(false).len(), 35);
+        assert_eq!(config_lattice(true).len(), 65);
     }
 
     #[test]
@@ -929,7 +880,7 @@ mod tests {
             .filter(|p| p.reorder == ReorderMode::Sifting)
             .collect();
         assert_eq!(full.len(), 10, "2 full reorder variants × 5 strategies");
-        assert!(full.iter().all(|p| !p.governed() && p.threads == 1));
+        assert!(full.iter().all(|p| !p.governed()));
     }
 
     #[test]

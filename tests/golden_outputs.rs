@@ -129,7 +129,7 @@ fn grover_under_max_size_is_pinned() {
         Golden {
             output: 6083887945091615041,
             weights: Some(21303),
-            counters: 7098664311737660482,
+            counters: 3793381993630006654,
         }
     );
 }
@@ -232,30 +232,16 @@ fn checkpoint_resume_is_pinned() {
 
 #[test]
 fn shot_histogram_at_one_thread_is_pinned() {
-    assert_eq!(
-        histogram(1),
-        (
-            Golden {
-                output: 18297458017997182512,
-                weights: Some(8816),
-                counters: 2901949340151894275,
-            },
-            15593344798833440229
-        )
+    let pinned = (
+        Golden {
+            output: 18297458017997182512,
+            weights: Some(8816),
+            counters: 2901949340151894275,
+        },
+        15593344798833440229,
     );
-}
-
-#[test]
-fn shot_histogram_at_two_threads_is_pinned() {
-    assert_eq!(
-        histogram(2),
-        (
-            Golden {
-                output: 18297458017997182512,
-                weights: Some(8816),
-                counters: 2901949340151894275,
-            },
-            2622430161302459965
-        )
-    );
+    assert_eq!(histogram(1), pinned);
+    // `threads` only sizes a trajectory ensemble; a simulator's shots
+    // draw from its one RNG stream at every setting.
+    assert_eq!(histogram(2), pinned, "threads=2 changed the histogram");
 }

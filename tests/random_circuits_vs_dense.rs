@@ -271,11 +271,9 @@ fn governed_and_ungoverned_runs_are_bitwise_identical() {
 
 #[test]
 fn explicit_single_thread_is_bitwise_identical_to_default() {
-    // `threads: 1` is the documented sequential contract: no pool is
-    // built, the `Par::Seq` kernels run, and the results — amplitudes AND
+    // `threads: 1` is the default: the results — amplitudes AND
     // machine-independent statistics — must be bit-for-bit what the
-    // default options produce. This pins the promise that turning the
-    // threading knob to 1 can never change behavior.
+    // default options produce.
     for seed in 0..4u64 {
         for strategy in [Strategy::Sequential, Strategy::KOperations { k: 5 }] {
             let circuit = random_circuit(6, 60, seed);
@@ -321,115 +319,54 @@ fn explicit_single_thread_is_bitwise_identical_to_default() {
 }
 
 #[test]
-fn threaded_runs_match_dense_on_random_circuits() {
-    // A 3-lane pool on 6-qubit circuits (top level ≥ the fork cutoff, so
-    // the fork-join kernels genuinely engage) must agree with the dense
-    // reference under every combining strategy.
-    for seed in 0..4 {
-        for strategy in [
-            Strategy::Sequential,
-            Strategy::KOperations { k: 5 },
-            Strategy::MaxSize { s_max: 48 },
-            Strategy::adaptive(),
-        ] {
-            let options = SimOptions {
-                strategy,
-                threads: 3,
-                ..SimOptions::default()
-            };
-            check_agreement_with(6, 60, seed, options);
-        }
-    }
-}
-
-#[test]
-fn threaded_and_sequential_agree_to_normalization_tolerance() {
-    // Threaded results are tolerance-equal to sequential, not bitwise:
-    // worker managers intern complex values in a different order, so
-    // representatives within a tolerance bucket can differ by ~1e-15.
-    // The agreement bound here (1e-9) is far tighter than the dense
-    // cross-check (1e-6) — any merge bug shows up as a gross mismatch,
-    // not a rounding artifact.
+fn thread_count_never_changes_amplitudes_stats_or_samples() {
+    // `threads` sizes only a trajectory ensemble's pool; one simulation
+    // runs on one thread. So at threads=2 every amplitude bit, every
+    // `RunStats` field but the wall time (step trace included) and a
+    // 256-shot histogram must equal the threads=1 run, under every
+    // strategy, with and without sifting.
+    let strategies = [
+        Strategy::Sequential,
+        Strategy::KOperations { k: 5 },
+        Strategy::MaxSize { s_max: 48 },
+        Strategy::DdRepeating { k: 4 },
+        Strategy::adaptive(),
+    ];
     for seed in 0..4u64 {
-        for strategy in [Strategy::Sequential, Strategy::KOperations { k: 5 }] {
-            let circuit = random_circuit(6, 60, seed);
-            let threaded = SimOptions {
-                strategy,
-                threads: 3,
-                ..SimOptions::default()
-            };
-            let (sim_s, _) =
-                simulate(&circuit, SimOptions::with_strategy(strategy)).expect("sequential run");
-            let (sim_t, _) = simulate(&circuit, threaded).expect("threaded run");
-            for i in 0..(1u64 << 6) {
-                let a = sim_s.amplitude(i);
-                let b = sim_t.amplitude(i);
-                assert!(
-                    a.approx_eq(b, 1e-9),
-                    "seed {seed}, {strategy}, amplitude {i}: {a} vs {b}"
-                );
+        let circuit = random_circuit(6, 60, seed);
+        for strategy in strategies {
+            for reorder in [ReorderMode::None, ReorderMode::Sifting] {
+                let run = |threads: u32| {
+                    let options = SimOptions {
+                        strategy,
+                        reorder,
+                        seed,
+                        threads,
+                        collect_trace: true,
+                        ..SimOptions::default()
+                    };
+                    let (mut sim, mut stats) = simulate(&circuit, options).expect("run");
+                    let amplitudes: Vec<(u64, u64)> = (0..1u64 << 6)
+                        .map(|i| {
+                            let a = sim.amplitude(i);
+                            (a.re.to_bits(), a.im.to_bits())
+                        })
+                        .collect();
+                    stats.wall_time = std::time::Duration::ZERO;
+                    let mut shots: Vec<(u64, u32)> = sim.sample_counts(256).into_iter().collect();
+                    shots.sort_unstable();
+                    (amplitudes, format!("{stats:?}"), shots)
+                };
+                let (amps_1, stats_1, shots_1) = run(1);
+                let (amps_2, stats_2, shots_2) = run(2);
+                let at = format!("seed {seed}, {strategy}, {reorder:?}");
+                assert_eq!(amps_1, amps_2, "{at}: amplitude bits differ");
+                assert_eq!(stats_1, stats_2, "{at}: run statistics differ");
+                assert_eq!(shots_1, shots_2, "{at}: histograms differ");
+                let total: u32 = shots_1.iter().map(|&(_, c)| c).sum();
+                assert_eq!(total, 256, "{at}: shots lost or duplicated");
             }
         }
-    }
-}
-
-#[test]
-fn threaded_runs_are_deterministic_across_reruns() {
-    // Parallelism must not introduce run-to-run nondeterminism: the fork
-    // planner, task order, and fixed-order result merge make two threaded
-    // runs of the same circuit bit-for-bit identical even though worker
-    // scheduling differs.
-    for seed in 0..3u64 {
-        let circuit = random_circuit(6, 60, seed);
-        let options = SimOptions {
-            strategy: Strategy::KOperations { k: 5 },
-            threads: 3,
-            ..SimOptions::default()
-        };
-        let (sim_a, _) = simulate(&circuit, options).expect("first threaded run");
-        let (sim_b, _) = simulate(&circuit, options).expect("second threaded run");
-        for i in 0..(1u64 << 6) {
-            let a = sim_a.amplitude(i);
-            let b = sim_b.amplitude(i);
-            assert_eq!(
-                (a.re.to_bits(), a.im.to_bits()),
-                (b.re.to_bits(), b.im.to_bits()),
-                "seed {seed}, amplitude {i}: {a} vs {b}"
-            );
-        }
-    }
-}
-
-#[test]
-fn threaded_sampling_is_reproducible_and_conserves_shots() {
-    // The pooled sampler derives every shot's RNG stream from
-    // (base draw, shot index) alone and merges lane histograms
-    // commutatively, so at a fixed engine seed the histogram is exactly
-    // reproducible across runs — worker scheduling can never change
-    // counts — and every shot lands in exactly one bucket.
-    let circuit = random_circuit(6, 60, 9);
-    let run = || {
-        let options = SimOptions {
-            threads: 3,
-            ..SimOptions::default()
-        };
-        let (mut sim, _) = simulate(&circuit, options).expect("run");
-        sim.sample_counts(512)
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first.values().sum::<u32>(), 512, "shots lost or duplicated");
-    assert_eq!(
-        first.len(),
-        second.len(),
-        "distinct-outcome counts diverged"
-    );
-    for (outcome, count) in &first {
-        assert_eq!(
-            second.get(outcome),
-            Some(count),
-            "outcome {outcome:#b} count diverged across reruns"
-        );
     }
 }
 
@@ -465,36 +402,29 @@ fn sifted_and_unsifted_runs_agree_to_tight_tolerance() {
     // representatives within a complex-table tolerance bucket can move by
     // ~1e-15. The 1e-9 bound here is far tighter than the dense
     // cross-check — a broken swap shows up as a gross mismatch. Checked
-    // across strategies and on the threaded engine.
+    // across strategies.
     for seed in 0..3u64 {
         for strategy in [Strategy::Sequential, Strategy::KOperations { k: 5 }] {
-            for threads in [1u32, 3] {
-                let circuit = random_circuit(6, 60, seed);
-                let plain = SimOptions {
-                    strategy,
-                    threads,
-                    ..SimOptions::default()
-                };
-                let sifted = SimOptions {
-                    strategy,
-                    threads,
-                    reorder: ReorderMode::Sifting,
-                    ..SimOptions::default()
-                };
-                let (sim_p, _) = simulate(&circuit, plain).expect("plain run");
-                let (sim_r, stats_r) = simulate(&circuit, sifted).expect("sifted run");
+            let circuit = random_circuit(6, 60, seed);
+            let plain = SimOptions::with_strategy(strategy);
+            let sifted = SimOptions {
+                strategy,
+                reorder: ReorderMode::Sifting,
+                ..SimOptions::default()
+            };
+            let (sim_p, _) = simulate(&circuit, plain).expect("plain run");
+            let (sim_r, stats_r) = simulate(&circuit, sifted).expect("sifted run");
+            assert!(
+                stats_r.reorders + stats_r.ladder_reorders > 0,
+                "seed {seed}, {strategy}: sifting mode never sifted"
+            );
+            for i in 0..(1u64 << 6) {
+                let a = sim_p.amplitude(i);
+                let b = sim_r.amplitude(i);
                 assert!(
-                    stats_r.reorders + stats_r.ladder_reorders > 0,
-                    "seed {seed}, {strategy}, threads {threads}: sifting mode never sifted"
+                    a.approx_eq(b, 1e-9),
+                    "seed {seed}, {strategy}, amplitude {i}: {a} vs {b}"
                 );
-                for i in 0..(1u64 << 6) {
-                    let a = sim_p.amplitude(i);
-                    let b = sim_r.amplitude(i);
-                    assert!(
-                        a.approx_eq(b, 1e-9),
-                        "seed {seed}, {strategy}, threads {threads}, amplitude {i}: {a} vs {b}"
-                    );
-                }
             }
         }
     }

@@ -144,3 +144,30 @@ fn trace_flag_prints_step_table() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("step_gate combined matrix_nodes state_nodes"));
 }
+
+#[test]
+fn noisy_counts_are_the_same_at_every_thread_count() {
+    let run = |threads: &str| {
+        let output = ddsim()
+            .args([
+                "noisy",
+                "--generate",
+                "supremacy:2:3:8:43",
+                "-p",
+                "0.05",
+                "--trajectories",
+                "300",
+                "--seed",
+                "3",
+                "--threads",
+                threads,
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "threads={threads}");
+        String::from_utf8(output.stdout).expect("utf-8 stdout")
+    };
+    let single = run("1");
+    assert!(single.contains("of 300 trajectories"), "stdout: {single}");
+    assert_eq!(single, run("2"));
+}

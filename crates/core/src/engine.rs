@@ -233,7 +233,23 @@ impl Simulator {
     ///
     /// Panics if `n` is 0 or greater than 63.
     pub fn with_options(n: u32, options: SimOptions) -> Self {
-        let mut dd = DdManager::with_config(options.dd_config);
+        Self::over(DdManager::with_config(options.dd_config), n, options)
+    }
+
+    /// This simulator recycled into the one
+    /// [`with_options`](Self::with_options) builds for its qubit count and
+    /// `options`: the next run is bit for bit the run a fresh simulator
+    /// makes (node ids, amplitudes, samples, every [`RunStats`] counter).
+    /// Only the manager's compute-table slot arrays are kept, forgotten in
+    /// O(1) (see [`DdManager::reset`]); the cancel and suspend tokens are
+    /// cleared like everything else.
+    #[must_use]
+    pub fn reset(self, options: SimOptions) -> Simulator {
+        Self::over(self.dd.reset(options.dd_config), self.n, options)
+    }
+
+    /// A simulator in |0…0⟩ over the empty manager `dd`.
+    fn over(mut dd: DdManager, n: u32, options: SimOptions) -> Self {
         let state = dd.vec_zero_state(n);
         dd.inc_ref_vec(state);
         Simulator {

@@ -71,15 +71,16 @@ impl NoisyEnsemble {
 /// noise model (one trajectory). Exposed so callers can inspect or re-run
 /// an interesting trajectory.
 pub fn sample_noisy_circuit(circuit: &Circuit, noise: DepolarizingNoise, seed: u64) -> Circuit {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut noisy = Circuit::with_cbits(circuit.qubits(), circuit.cbits());
-    noisy.set_name(format!("{}_noisy_{seed}", circuit.name()));
-    insert_noise(circuit.flattened().ops(), noise, &mut rng, &mut noisy);
-    noisy
+    noisy_trajectory(&circuit.flattened(), noise, seed)
 }
 
-fn insert_noise(ops: &[Operation], noise: DepolarizingNoise, rng: &mut StdRng, out: &mut Circuit) {
-    for op in ops {
+/// [`sample_noisy_circuit`] of a circuit already flattened, so an ensemble
+/// flattens once rather than once per trajectory.
+fn noisy_trajectory(flat: &Circuit, noise: DepolarizingNoise, seed: u64) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Circuit::with_cbits(flat.qubits(), flat.cbits());
+    out.set_name(format!("{}_noisy_{seed}", flat.name()));
+    for op in flat.ops() {
         out.push(op.clone());
         let touched: Vec<u32> = match op {
             Operation::Gate(g) => g
@@ -110,6 +111,7 @@ fn insert_noise(ops: &[Operation], noise: DepolarizingNoise, rng: &mut StdRng, o
             }
         }
     }
+    out
 }
 
 /// Runs `trajectories` noisy trajectories of a circuit, sampling one full
@@ -133,37 +135,17 @@ pub fn run_noisy_ensemble(
     run_noisy_ensemble_with(circuit, noise, trajectories, &template, None)
 }
 
-/// [`run_noisy_ensemble`] with the trajectory loop spread across a
-/// work-stealing pool of `threads` lanes (`0` = all cores, `≤ 1` = the
-/// sequential loop).
-///
-/// # Errors
-///
-/// As [`run_noisy_ensemble_with`].
-pub fn run_noisy_ensemble_threaded(
-    circuit: &Circuit,
-    noise: DepolarizingNoise,
-    trajectories: u32,
-    seed: u64,
-    threads: u32,
-) -> Result<NoisyEnsemble, SimError> {
-    let template = SimOptions {
-        seed,
-        threads,
-        ..SimOptions::default()
-    };
-    run_noisy_ensemble_with(circuit, noise, trajectories, &template, None)
-}
-
 /// The fully governed ensemble runner: every per-trajectory simulator is
 /// built from `template` — strategy, DD configuration (budgets, tolerance,
 /// fault injection), reorder mode — with only the seed overridden to
 /// `template.seed + t`. `template.threads` parallelizes the *trajectory*
-/// loop on a work-stealing pool (`0` = all cores, `≤ 1` = sequential);
-/// each trajectory is its own simulator on one lane. Every trajectory's
-/// circuit, run, and sample derive from its seed alone, so the aggregated
-/// counts are identical at every thread count — parallelism changes
-/// wall-clock time, never the result.
+/// loop on a work-stealing pool (`0` = all cores, `≤ 1` = sequential).
+/// Each lane owns one simulator and [resets](Simulator::reset) it between
+/// its trajectories, which makes every trajectory bit for bit the run a
+/// fresh simulator would make. Every trajectory's circuit, run, and sample
+/// derive from its seed alone, so the aggregated counts are identical at
+/// every thread count — parallelism changes wall-clock time, never the
+/// result.
 ///
 /// `template.deadline` bounds the *whole ensemble*: the budget is
 /// converted to an absolute instant up front and each trajectory gets
@@ -186,7 +168,10 @@ pub fn run_noisy_ensemble_with(
     cancel: Option<&CancelToken>,
 ) -> Result<NoisyEnsemble, SimError> {
     let ensemble_deadline = template.deadline.map(|d| Instant::now() + d);
-    let one_trajectory = |t: u32| -> Result<u64, SimError> {
+    let flat = circuit.flattened();
+    // Runs trajectory `t` on the lane's simulator, built on first use and
+    // recycled after.
+    let one_trajectory = |lane_sim: &mut Option<Simulator>, t: u32| -> Result<u64, SimError> {
         if let Some(token) = cancel {
             if token.is_cancelled() {
                 return Err(SimError::Cancelled);
@@ -203,15 +188,17 @@ pub fn run_noisy_ensemble_with(
             None => None,
         };
         let trajectory_seed = template.seed.wrapping_add(u64::from(t));
-        let noisy = sample_noisy_circuit(circuit, noise, trajectory_seed);
-        let mut sim = Simulator::with_options(
-            circuit.qubits(),
-            SimOptions {
-                seed: trajectory_seed,
-                deadline: remaining,
-                ..*template
-            },
-        );
+        let noisy = noisy_trajectory(&flat, noise, trajectory_seed);
+        let options = SimOptions {
+            seed: trajectory_seed,
+            deadline: remaining,
+            ..*template
+        };
+        let sim = match lane_sim.take() {
+            Some(used) => used.reset(options),
+            None => Simulator::with_options(circuit.qubits(), options),
+        };
+        let sim = lane_sim.insert(sim);
         sim.set_cancel_token(cancel.cloned());
         sim.run(&noisy)?;
         Ok(sim.sample())
@@ -224,8 +211,9 @@ pub fn run_noisy_ensemble_with(
     let mut counts = FxHashMap::default();
     match pool {
         None => {
+            let mut sim = None;
             for t in 0..trajectories {
-                *counts.entry(one_trajectory(t)?).or_insert(0) += 1;
+                *counts.entry(one_trajectory(&mut sim, t)?).or_insert(0) += 1;
             }
         }
         Some(pool) => {
@@ -247,9 +235,10 @@ pub fn run_noisy_ensemble_with(
                     .enumerate()
                     .map(|(lane, slot)| {
                         Box::new(move || {
+                            let mut sim = None;
                             let mut t = lane as u32;
                             while t < trajectories && !stop.load(Ordering::Relaxed) {
-                                match one_trajectory(t) {
+                                match one_trajectory(&mut sim, t) {
                                     Ok(outcome) => {
                                         *slot.0.entry(outcome).or_insert(0) += 1;
                                     }
@@ -478,10 +467,16 @@ mod tests {
             let mut c = Circuit::new(3);
             c.h(0).cx(0, 1).cx(1, 2).t(1);
             let noise = DepolarizingNoise::new(p);
-            let single =
-                run_noisy_ensemble_threaded(&c, noise, 24, seed, 1).expect("threads=1");
-            let triple =
-                run_noisy_ensemble_threaded(&c, noise, 24, seed, 3).expect("threads=3");
+            let run = |threads: u32| {
+                let template = SimOptions {
+                    seed,
+                    threads,
+                    ..SimOptions::default()
+                };
+                run_noisy_ensemble_with(&c, noise, 24, &template, None)
+            };
+            let single = run(1).expect("threads=1");
+            let triple = run(3).expect("threads=3");
             prop_assert_eq!(&single.counts, &triple.counts);
         }
     }

@@ -21,6 +21,12 @@
 //! valid iff every node it references lives in a slot that has not been
 //! freed since the entry was written (see `DdManager::collect_garbage`),
 //! which is sound even when freed slots are reused by new nodes.
+//!
+//! Every table also keeps a *base* epoch: a slot whose entry is older than
+//! the base reads as empty. Forgetting the whole table is therefore O(1)
+//! — the manager moves to a fresh epoch and raises the base to it
+//! (`DdManager::clear_caches`, `DdManager::reset`) — instead of a write to
+//! every slot.
 
 use crate::edge::{MatEdge, NodeId, VecEdge};
 use crate::hash::fx_hash;
@@ -219,9 +225,9 @@ impl CacheStats {
     }
 }
 
-/// One direct-mapped slot. `epoch == 0` marks an empty slot (the manager
-/// epoch starts at 1, so no live entry ever carries 0); this avoids an
-/// `Option` discriminant and keeps entries small and `Copy`.
+/// One direct-mapped slot. An `epoch` below the table's base marks an
+/// empty slot (fresh slots carry 0, the manager epoch starts at 1); this
+/// avoids an `Option` discriminant and keeps entries small and `Copy`.
 #[derive(Clone, Copy, Debug)]
 struct Entry<K, V> {
     key: K,
@@ -238,13 +244,16 @@ struct Entry<K, V> {
 pub(crate) struct ComputeTable<K, V> {
     entries: Vec<Entry<K, V>>,
     mask: u64,
+    /// Entries written before this epoch are forgotten (read as empty).
+    base: u32,
     enabled: bool,
     pub stats: TableStats,
 }
 
 impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
     /// A table with `2^bits` slots, every slot pre-filled with
-    /// `(empty_key, empty_value)` at epoch 0 (never matched).
+    /// `(empty_key, empty_value)` at epoch 0, below the initial base of 1
+    /// (never matched).
     fn with_bits(bits: u32, enabled: bool, empty_key: K, empty_value: V) -> Self {
         let capacity = 1usize << bits;
         ComputeTable {
@@ -257,6 +266,7 @@ impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
                 capacity
             ],
             mask: (capacity - 1) as u64,
+            base: 1,
             enabled,
             stats: TableStats::default(),
         }
@@ -272,7 +282,7 @@ impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
         self.stats.lookups += 1;
         let slot = (fx_hash(key) & self.mask) as usize;
         let entry = &mut self.entries[slot];
-        if entry.epoch == 0 {
+        if entry.epoch < self.base {
             return None;
         }
         if entry.key != *key {
@@ -292,16 +302,16 @@ impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
 
     /// Inserts at the key's slot, displacing whatever lives there.
     ///
-    /// `epoch` is the manager's current epoch (≥ 1).
+    /// `epoch` is the manager's current epoch (≥ the table's base).
     #[inline]
     pub fn insert(&mut self, key: K, value: V, epoch: u32) {
         if !self.enabled {
             return;
         }
-        debug_assert!(epoch > 0, "epoch 0 is the empty sentinel");
+        debug_assert!(epoch >= self.base, "entry written below the base epoch");
         let slot = (fx_hash(&key) & self.mask) as usize;
         let entry = &mut self.entries[slot];
-        if entry.epoch != 0 && entry.key != key {
+        if entry.epoch >= self.base && entry.key != key {
             self.stats.evictions += 1;
         }
         *entry = Entry { key, value, epoch };
@@ -309,7 +319,7 @@ impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
 
     /// Number of occupied slots (diagnostics; linear scan).
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.epoch != 0).count()
+        self.entries.iter().filter(|e| e.epoch >= self.base).count()
     }
 
     /// Heap bytes held by the entry array (capacity-based, O(1)).
@@ -317,11 +327,11 @@ impl<K: Copy + PartialEq + Hash, V: Copy> ComputeTable<K, V> {
         self.entries.capacity() * std::mem::size_of::<Entry<K, V>>()
     }
 
-    /// Drops every entry (capacity is kept).
-    pub fn clear(&mut self) {
-        for entry in &mut self.entries {
-            entry.epoch = 0;
-        }
+    /// Forgets every entry written before epoch `base` in O(1)
+    /// (capacity is kept). `base` must exceed every epoch already stored.
+    pub fn forget(&mut self, base: u32) {
+        debug_assert!(base > self.base, "the base epoch only rises");
+        self.base = base;
     }
 }
 
@@ -357,17 +367,18 @@ impl ComputeTables {
         }
     }
 
-    /// Drops every cached entry (diagnostic / benchmarking hook — GC does
-    /// *not* call this; entries are invalidated per-node via epochs).
-    pub fn clear(&mut self) {
-        self.add_vec.clear();
-        self.add_mat.clear();
-        self.mat_vec.clear();
-        self.mat_mat.clear();
-        self.conj_transpose.clear();
-        self.kron_vec.clear();
-        self.kron_mat.clear();
-        self.apply_gate.clear();
+    /// Forgets every cached entry written before epoch `base` (see
+    /// [`ComputeTable::forget`]). GC does *not* call this; entries are
+    /// invalidated per-node via epochs.
+    pub fn forget(&mut self, base: u32) {
+        self.add_vec.forget(base);
+        self.add_mat.forget(base);
+        self.mat_vec.forget(base);
+        self.mat_mat.forget(base);
+        self.conj_transpose.forget(base);
+        self.kron_vec.forget(base);
+        self.kron_mat.forget(base);
+        self.apply_gate.forget(base);
     }
 
     /// Total heap bytes across every table (capacity-based, O(1)); feeds
@@ -474,6 +485,34 @@ mod tests {
         assert_eq!(t.stats.collisions, 1);
         assert_eq!(t.lookup(&k2, |_, _, _| true), Some(edge(2)));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn forgotten_slot_is_a_plain_miss() {
+        // With 2^0 = 1 slot every key maps to the same slot. A forgotten
+        // entry must behave like a fresh empty slot: no hit, no collision
+        // or stale drop on lookup, no eviction when it is overwritten.
+        let mut t: ComputeTable<(NodeId, NodeId), VecEdge> =
+            ComputeTable::with_bits(0, true, (NodeId::TERMINAL, NodeId::TERMINAL), VecEdge::ZERO);
+        let k1 = (NodeId(1), NodeId(2));
+        let k2 = (NodeId(3), NodeId(4));
+        t.insert(k1, edge(1), 1);
+        t.forget(2);
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.lookup(&k1, |_, _, _| true), None);
+        assert_eq!(t.lookup(&k2, |_, _, _| true), None);
+        t.insert(k2, edge(2), 2);
+        assert_eq!(t.lookup(&k2, |_, _, _| true), Some(edge(2)));
+        assert_eq!(
+            t.stats,
+            TableStats {
+                lookups: 3,
+                hits: 1,
+                collisions: 0,
+                evictions: 0,
+                stale: 0,
+            }
+        );
     }
 
     #[test]

@@ -5,4 +5,4 @@
 //! map — the hottest hash lookup in the repo — can use it too. Downstream
 //! users of `ddsim_dd::{fx_hash, FxHashMap, FxHasher}` are unaffected.
 
-pub use ddsim_complex::hash::{fx_hash, FxHashMap, FxHasher};
+pub use ddsim_complex::hash::{fx_hash, FxHashMap, FxHashSet, FxHasher};

@@ -16,7 +16,9 @@
 //! `free_epoch[node] < entry.epoch` — i.e. the slot has not been freed
 //! (and possibly reused by an unrelated node) since the entry was written.
 //! Cached results whose diagrams survive a collection keep paying off
-//! across it.
+//! across it. Forgetting every cached result moves the manager to a new
+//! epoch and raises the compute tables' base epoch to it, in O(1)
+//! ([`DdManager::clear_caches`], [`DdManager::reset`]).
 
 use std::time::Instant;
 
@@ -295,8 +297,10 @@ pub struct DdManager {
     pub(crate) vec_unique: UniqueTable<(Level, [VecEdge; 2])>,
     pub(crate) mat_unique: UniqueTable<(Level, [MatEdge; 4])>,
     pub(crate) compute: ComputeTables,
-    /// Current epoch (starts at 1; 0 is the compute tables' empty
-    /// sentinel). Incremented by every garbage collection.
+    /// Current epoch (starts at 1; fresh compute-table slots carry 0).
+    /// Incremented by every garbage collection, every
+    /// [`clear_caches`](Self::clear_caches) and every recycling
+    /// [`reset`](Self::reset).
     pub(crate) epoch: u32,
     pub(crate) stats: DdStats,
     pub(crate) config: DdConfig,
@@ -339,6 +343,11 @@ pub struct DdManager {
 /// overshoot to one interval's worth of allocations.
 const CHARGE_INTERVAL: u32 = 1024;
 
+/// Epoch past which [`DdManager::reset`] builds fresh compute tables
+/// (restarting at epoch 1) instead of recycling them, so every recycled
+/// run keeps at least 2^31 epoch increments before the counter could wrap.
+const RECYCLE_EPOCH_LIMIT: u32 = u32::MAX / 2;
+
 impl DdManager {
     /// Creates a manager with the default configuration.
     pub fn new() -> Self {
@@ -347,14 +356,49 @@ impl DdManager {
 
     /// Creates a manager with an explicit configuration.
     pub fn with_config(config: DdConfig) -> Self {
+        let compute = ComputeTables::new(config.compute_table_bits, config.cache_enabled);
+        Self::assemble(config, compute, 1)
+    }
+
+    /// This manager emptied into the one [`with_config`](Self::with_config)
+    /// builds for `config`: same node ids, weights, counters and
+    /// [`tracked_bytes`](Self::tracked_bytes) from here on. Every part is
+    /// rebuilt except the compute tables' slot arrays, whose entries are
+    /// forgotten in O(1) by moving to a fresh epoch — a fresh manager
+    /// writes all `8 · 2^compute_table_bits` slots instead. Fresh tables
+    /// are built when `config` changes their size or the cache switch, or
+    /// once the epoch passes half its range.
+    #[must_use]
+    pub fn reset(self, config: DdConfig) -> DdManager {
+        let DdManager {
+            mut compute,
+            epoch,
+            config: old,
+            ..
+        } = self;
+        if old.compute_table_bits != config.compute_table_bits
+            || old.cache_enabled != config.cache_enabled
+            || epoch >= RECYCLE_EPOCH_LIMIT
+        {
+            return Self::with_config(config);
+        }
+        let epoch = epoch + 1;
+        compute.forget(epoch);
+        compute.reset_stats();
+        Self::assemble(config, compute, epoch)
+    }
+
+    /// A manager with empty arenas and tables around `compute`, whose
+    /// entries must all be older than `epoch`.
+    fn assemble(config: DdConfig, compute: ComputeTables, epoch: u32) -> Self {
         DdManager {
             complex: ComplexTable::with_tolerance(config.tolerance),
             vec_arena: Arena::new(),
             mat_arena: Arena::new(),
             vec_unique: UniqueTable::with_bits(config.unique_table_bits, (0, [VecEdge::ZERO; 2])),
             mat_unique: UniqueTable::with_bits(config.unique_table_bits, (0, [MatEdge::ZERO; 4])),
-            compute: ComputeTables::new(config.compute_table_bits, config.cache_enabled),
-            epoch: 1,
+            compute,
+            epoch,
             stats: DdStats::default(),
             config,
             identity_cache: Vec::new(),
@@ -466,12 +510,15 @@ impl DdManager {
         self.vec_unique.len() + self.mat_unique.len()
     }
 
-    /// Drops every memoized result (the unique tables and diagrams are
-    /// untouched). Garbage collection does *not* do this — entries are
-    /// invalidated per-node via epochs — so this is a benchmarking /
-    /// diagnostics hook for forcing cold caches.
+    /// Forgets every memoized result in O(1) (the unique tables and
+    /// diagrams are untouched): the manager moves to a new epoch and the
+    /// compute tables treat every older entry as an empty slot. Garbage
+    /// collection does *not* do this — entries are invalidated per-node
+    /// via epochs; the engine's degradation ladder does, before its
+    /// second emergency collection.
     pub fn clear_caches(&mut self) {
-        self.compute.clear();
+        self.epoch += 1;
+        self.compute.forget(self.epoch);
     }
 
     /// Number of distinct interned edge weights (diagnostics).
@@ -1121,6 +1168,28 @@ mod tests {
         let breach = dd.last_breach().expect("breach details recorded");
         assert_eq!(breach.resource, Resource::LiveNodes);
         assert_eq!(breach.limit, 8);
+    }
+
+    /// A recycled manager forgets every cached result and starts from a
+    /// fresh epoch; past the recycle limit it gets fresh tables instead.
+    #[test]
+    fn reset_forgets_the_caches_and_restarts_near_the_epoch_limit() {
+        let mut dd = DdManager::new();
+        let v = dd.vec_basis(4, 3);
+        let h = dd.mat_single_qubit(4, 0, [[Complex::ONE; 2], [Complex::ONE, -Complex::ONE]]);
+        dd.mat_vec_mul(h, v).expect("ungoverned");
+        assert!(dd.compute_table_entries() > 0);
+        dd.collect_garbage();
+        let epoch = dd.epoch;
+        let mut dd = dd.reset(DdConfig::default());
+        assert_eq!(dd.epoch, epoch + 1);
+        assert_eq!(dd.compute_table_entries(), 0);
+        assert_eq!(dd.stats(), DdStats::default());
+        assert_eq!(dd.live_vec_nodes() + dd.live_mat_nodes(), 0);
+
+        dd.epoch = RECYCLE_EPOCH_LIMIT;
+        let dd = dd.reset(DdConfig::default());
+        assert_eq!(dd.epoch, 1, "fresh tables past the recycle limit");
     }
 
     /// Non-panicking suspensions still balance (nesting included).

@@ -4,11 +4,10 @@
 //! paper's *DD-construct* strategy relies on: the control qubit is measured
 //! and reset 2n times, with classically controlled phase corrections.
 
-use std::collections::HashMap;
-
 use ddsim_complex::Complex;
 
 use crate::edge::{Level, NodeId, VecEdge};
+use crate::hash::FxHashMap;
 use crate::manager::DdManager;
 
 impl DdManager {
@@ -24,8 +23,8 @@ impl DdManager {
         let n = self.vec_level(v);
         assert!(qubit < n, "measured qubit out of range");
         let target_level = self.var_order.level_of(n, qubit);
-        let mut norm_cache = HashMap::new();
-        let mut prob_cache = HashMap::new();
+        let mut norm_cache = FxHashMap::default();
+        let mut prob_cache = FxHashMap::default();
         let w2 = self.complex_value(v.weight).norm_sqr();
         w2 * self.prob_one_rec(v.node, target_level, &mut prob_cache, &mut norm_cache)
     }
@@ -34,8 +33,8 @@ impl DdManager {
         &self,
         node: NodeId,
         target_level: Level,
-        prob_cache: &mut HashMap<NodeId, f64>,
-        norm_cache: &mut HashMap<NodeId, f64>,
+        prob_cache: &mut FxHashMap<NodeId, f64>,
+        norm_cache: &mut FxHashMap<NodeId, f64>,
     ) -> f64 {
         debug_assert!(!node.is_terminal());
         if let Some(&p) = prob_cache.get(&node) {
@@ -83,7 +82,7 @@ impl DdManager {
             "collapse onto an outcome with zero probability (p = {p})"
         );
         let target_level = self.var_order.level_of(n, qubit);
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let projected = self.project_rec(v, target_level, outcome, &mut memo);
         if self.config.fault == crate::FaultKind::CollapseSkipsRenormalize {
             // Injected fault: return the bare projection, leaving the
@@ -103,7 +102,7 @@ impl DdManager {
         e: VecEdge,
         target_level: Level,
         outcome: bool,
-        memo: &mut HashMap<NodeId, VecEdge>,
+        memo: &mut FxHashMap<NodeId, VecEdge>,
     ) -> VecEdge {
         if e.is_zero() {
             return VecEdge::ZERO;
@@ -151,8 +150,8 @@ impl DdManager {
     /// Squared norm of every node of the DD below `v`, keyed by node: the
     /// branch weights [`sample`](Self::sample) draws by. Computed once per
     /// state, it serves every shot drawn from that state.
-    pub fn subtree_norms(&self, v: VecEdge) -> HashMap<NodeId, f64> {
-        let mut norms = HashMap::new();
+    pub fn subtree_norms(&self, v: VecEdge) -> FxHashMap<NodeId, f64> {
+        let mut norms = FxHashMap::default();
         self.norm_sqr_rec(v.node, &mut norms);
         norms
     }
@@ -167,7 +166,7 @@ impl DdManager {
     pub fn sample(
         &self,
         v: VecEdge,
-        norms: &HashMap<NodeId, f64>,
+        norms: &FxHashMap<NodeId, f64>,
         rand_fn: &mut dyn FnMut() -> f64,
     ) -> u64 {
         let branch = |e: VecEdge| {

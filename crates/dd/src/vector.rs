@@ -1,10 +1,11 @@
 //! Construction and inspection of vector decision diagrams (quantum states).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ddsim_complex::{Complex, ComplexId};
 
 use crate::edge::{Level, NodeId, VecEdge};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::manager::DdManager;
 
 impl DdManager {
@@ -185,11 +186,11 @@ impl DdManager {
 
     /// Squared L2 norm of the vector (1.0 for a normalized quantum state).
     pub fn vec_norm_sqr(&self, e: VecEdge) -> f64 {
-        let mut cache: HashMap<NodeId, f64> = HashMap::new();
+        let mut cache = FxHashMap::default();
         self.norm_sqr_rec(e.node, &mut cache) * self.complex_value(e.weight).norm_sqr()
     }
 
-    pub(crate) fn norm_sqr_rec(&self, node: NodeId, cache: &mut HashMap<NodeId, f64>) -> f64 {
+    pub(crate) fn norm_sqr_rec(&self, node: NodeId, cache: &mut FxHashMap<NodeId, f64>) -> f64 {
         if node.is_terminal() {
             return 1.0;
         }
@@ -260,12 +261,12 @@ impl DdManager {
     ///
     /// This is the paper's "size of the DD" for vectors.
     pub fn vec_node_count(&self, e: VecEdge) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         self.count_vec_rec(e.node, &mut seen);
         seen.len()
     }
 
-    fn count_vec_rec(&self, node: NodeId, seen: &mut HashSet<NodeId>) {
+    fn count_vec_rec(&self, node: NodeId, seen: &mut FxHashSet<NodeId>) {
         if node.is_terminal() || !seen.insert(node) {
             return;
         }

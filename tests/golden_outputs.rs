@@ -16,7 +16,7 @@ use ddsim_repro::algorithms::supremacy::{supremacy_circuit, SupremacyInstance};
 use ddsim_repro::circuit::Circuit;
 use ddsim_repro::complex::Complex;
 use ddsim_repro::core::density::simulate_density;
-use ddsim_repro::core::noise::DepolarizingNoise;
+use ddsim_repro::core::noise::{run_noisy_ensemble_with, DepolarizingNoise};
 use ddsim_repro::core::{simulate, CheckpointConfig, RunStats, SimOptions, Simulator, Strategy};
 use ddsim_repro::dd::fnv1a;
 
@@ -244,4 +244,32 @@ fn shot_histogram_at_one_thread_is_pinned() {
     // `threads` only sizes a trajectory ensemble; a simulator's shots
     // draw from its one RNG stream at every setting.
     assert_eq!(histogram(2), pinned, "threads=2 changed the histogram");
+}
+
+/// A 256-trajectory depolarizing ensemble's outcome histogram,
+/// fingerprinted in outcome order.
+fn ensemble_histogram(threads: u32) -> u64 {
+    let circuit = supremacy_circuit(SupremacyInstance::new(2, 3, 8, 43));
+    let template = SimOptions {
+        seed: 7,
+        threads,
+        ..SimOptions::default()
+    };
+    let ensemble =
+        run_noisy_ensemble_with(&circuit, DepolarizingNoise::new(0.01), 256, &template, None)
+            .expect("ensemble run");
+    let mut sorted: Vec<(u64, u32)> = ensemble.counts.into_iter().collect();
+    sorted.sort_unstable();
+    fingerprint_words(sorted.iter().flat_map(|&(o, c)| [o, u64::from(c)]))
+}
+
+#[test]
+fn noisy_ensemble_is_pinned_at_every_lane_count() {
+    for threads in [1, 2] {
+        assert_eq!(
+            ensemble_histogram(threads),
+            15435744032418152075,
+            "threads={threads}"
+        );
+    }
 }

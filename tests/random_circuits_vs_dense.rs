@@ -3,9 +3,11 @@
 
 use ddsim_repro::circuit::{Circuit, StandardGate};
 use ddsim_repro::complex::Complex;
-use ddsim_repro::core::{simulate, DdConfig, ReorderMode, SimOptions, Strategy};
+use ddsim_repro::core::{
+    simulate, DdConfig, ReorderMode, RunStats, SimOptions, Simulator, Strategy,
+};
 use ddsim_repro::dd::reference::DenseVector;
-use ddsim_repro::dd::{Control, DdManager};
+use ddsim_repro::dd::{CancelToken, Control, DdManager};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -368,6 +370,99 @@ fn thread_count_never_changes_amplitudes_stats_or_samples() {
             }
         }
     }
+}
+
+#[test]
+fn reset_simulator_runs_bitwise_like_a_fresh_one() {
+    // A trajectory lane recycles one simulator through `Simulator::reset`.
+    // Whatever the manager went through before — GC churn, a sift that
+    // left a non-identity variable order, ladder rungs under a live-node
+    // budget, a deadline, a cancel token, a DD-repeating block — the next
+    // run must be bit for bit a fresh simulator's: state edge (node and
+    // weight ids), amplitude bits, every `RunStats` field but the wall
+    // time (step trace included), the manager's cumulative counters,
+    // interned weights, tracked table bytes and a 256-shot histogram.
+    let strategies = [
+        Strategy::Sequential,
+        Strategy::KOperations { k: 5 },
+        Strategy::MaxSize { s_max: 48 },
+        Strategy::DdRepeating { k: 4 },
+        Strategy::adaptive(),
+    ];
+    let observe = |sim: &mut Simulator, mut stats: RunStats| {
+        stats.wall_time = std::time::Duration::ZERO;
+        let amplitudes: Vec<(u64, u64)> = (0..1u64 << 6)
+            .map(|i| {
+                let a = sim.amplitude(i);
+                (a.re.to_bits(), a.im.to_bits())
+            })
+            .collect();
+        let mut shots: Vec<(u64, u32)> = sim.sample_counts(256).into_iter().collect();
+        shots.sort_unstable();
+        (
+            sim.state(),
+            amplitudes,
+            format!("{stats:?}"),
+            sim.dd().stats(),
+            sim.dd().distinct_weights(),
+            sim.dd().tracked_bytes(),
+            shots,
+        )
+    };
+    let mut cache_flushes = 0;
+    for seed in 0..3u64 {
+        let circuit = random_circuit(6, 60, seed);
+        let mut dirty_circuit = random_circuit(6, 40, seed + 100);
+        dirty_circuit.repeat(&random_circuit(6, 30, seed + 200), 2);
+        for q in 0..6 {
+            dirty_circuit.reset(q);
+        }
+        dirty_circuit.h(0).cx(0, 3).h(1).cx(1, 4).h(2).cx(2, 5);
+        let dirty_options = SimOptions {
+            strategy: Strategy::DdRepeating { k: 4 },
+            reorder: ReorderMode::Sifting,
+            seed: seed + 1,
+            deadline: Some(std::time::Duration::from_secs(3600)),
+            dd_config: DdConfig {
+                gc_threshold: 8,
+                max_live_nodes: Some(32),
+                ..DdConfig::default()
+            },
+            ..SimOptions::default()
+        };
+        for strategy in strategies {
+            for reorder in [ReorderMode::None, ReorderMode::Sifting] {
+                let at = format!("seed {seed}, {strategy}, {reorder:?}");
+                let options = SimOptions {
+                    strategy,
+                    reorder,
+                    seed,
+                    collect_trace: true,
+                    ..SimOptions::default()
+                };
+                let mut fresh = Simulator::with_options(6, options);
+                let stats = fresh.run(&circuit).expect("fresh run");
+                let want = observe(&mut fresh, stats);
+
+                let mut dirty = Simulator::with_options(6, dirty_options);
+                dirty.set_cancel_token(Some(CancelToken::new()));
+                let dirty_stats = dirty.run(&dirty_circuit).expect("dirty run");
+                assert!(
+                    dirty_stats.gc_runs > 0
+                        && dirty_stats.ladder_gc_rescues > 0
+                        && dirty_stats.mat_mat_mults > 0
+                        && !dirty.dd().var_order().is_identity(),
+                    "{at}: the dirty run must collect, take a ladder rung, \
+                     combine and leave a sifted order: {dirty_stats:?}"
+                );
+                cache_flushes += dirty_stats.ladder_cache_flushes;
+                let mut recycled = dirty.reset(options);
+                let stats = recycled.run(&circuit).expect("recycled run");
+                assert_eq!(observe(&mut recycled, stats), want, "{at}");
+            }
+        }
+    }
+    assert!(cache_flushes > 0, "some dirty run must forget its caches");
 }
 
 #[test]
